@@ -47,10 +47,11 @@ race-unified:
 	$(GO) test -race -run 'TestUnified' ./internal/serve ./internal/portability
 
 # Targeted race pass over the sharded-cluster layer: the consistent-hash
-# router (retry/hedge/fallback paths), gossip merging, peer warming, and the
-# transport-severing outage switch it leans on.
+# router (edge cache, retry/hedge/fallback paths, rolling reload), gossip
+# merging, the transport-severing outage switch it leans on, and the
+# selectrouter daemon's serve-and-drain lifecycle.
 race-cluster:
-	$(GO) test -race ./internal/cluster ./internal/faultinject
+	$(GO) test -race ./internal/cluster ./internal/faultinject ./cmd/selectrouter
 
 vet:
 	$(GO) vet ./...
@@ -83,28 +84,23 @@ bench-price:
 	fi; \
 	echo "bench-price: PriceBatch $$new ns/op within $(PRICE_TOLERANCE)x of baseline $$base ns/op"
 
-# Router fast-path gate, three tripwires against the committed
+# Router edge-cache gate, two tripwires against the committed
 # BENCH_router.txt baseline:
 #   1. the edge-cache hit must stay within ROUTER_TOLERANCE x the baseline
 #      ns/op (same loose factor as bench-price: shared boxes swing, losing
 #      the pre-rendered-body path is a >10x regression);
 #   2. the hit path must allocate exactly zero bytes per request — the whole
 #      point of the pre-rendered body, and the first thing an innocent
-#      "just add a header" change breaks;
-#   3. the coalescing benchmark's herd must amortize to at least
-#      COALESCE_FLOOR requests per upstream call, or the micro-batcher has
-#      stopped merging concurrent same-replica misses.
+#      "just add a header" change breaks.
 ROUTER_TOLERANCE ?= 2.5
-COALESCE_FLOOR ?= 2.0
 
 bench-router:
-	@$(GO) test -run '^$$' -bench '^BenchmarkRouter(CacheHit|Coalesce)$$' -benchtime 2s -benchmem ./internal/cluster | tee .bench_router.tmp
+	@$(GO) test -run '^$$' -bench '^BenchmarkRouterCacheHit$$' -benchtime 2s -benchmem ./internal/cluster | tee .bench_router.tmp
 	@new=$$(awk '/^BenchmarkRouterCacheHit/ {print $$3; exit}' .bench_router.tmp); \
 	base=$$(awk '/^BenchmarkRouterCacheHit/ {print $$3; exit}' BENCH_router.txt); \
 	allocs=$$(awk '/^BenchmarkRouterCacheHit/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1); exit}' .bench_router.tmp); \
-	coalesce=$$(awk '/^BenchmarkRouterCoalesce/ {for (i=1; i<=NF; i++) if ($$i == "reqs/upstream") print $$(i-1); exit}' .bench_router.tmp); \
 	rm -f .bench_router.tmp; \
-	if [ -z "$$new" ] || [ -z "$$base" ] || [ -z "$$allocs" ] || [ -z "$$coalesce" ]; then \
+	if [ -z "$$new" ] || [ -z "$$base" ] || [ -z "$$allocs" ]; then \
 		echo "bench-router: missing measurement (bench output or BENCH_router.txt baseline)"; exit 1; \
 	fi; \
 	if ! awk "BEGIN{exit !($$new <= $$base * $(ROUTER_TOLERANCE))}"; then \
@@ -113,10 +109,7 @@ bench-router:
 	if [ "$$allocs" != "0" ]; then \
 		echo "bench-router: cache hit allocates $$allocs allocs/op, want 0"; exit 1; \
 	fi; \
-	if ! awk "BEGIN{exit !($$coalesce >= $(COALESCE_FLOOR))}"; then \
-		echo "bench-router: $$coalesce reqs/upstream is below the $(COALESCE_FLOOR) coalescing floor"; exit 1; \
-	fi; \
-	echo "bench-router: cache hit $$new ns/op (0 allocs) within $(ROUTER_TOLERANCE)x of $$base ns/op; herd amortizes $$coalesce reqs/upstream"
+	echo "bench-router: cache hit $$new ns/op (0 allocs) within $(ROUTER_TOLERANCE)x of $$base ns/op"
 
 # Serving-path latency baseline: drive a warmed in-process two-device server
 # with the load generator and write the quantile/degradation report to
@@ -139,8 +132,8 @@ bench-serve:
 #      ceiling has ~10x headroom for tie-break jitter while a selector that
 #      stopped compressing the mix (~0.1+) fails.
 #   4. the scaleout run keeps the 2.5x strong-scaling ratio AND the warmed
-#      fast-path gate: with the edge cache and micro-batcher on, the primed
-#      3-replica fleet must sustain >= 1570 full-service QPS (5x the 314 QPS
+#      fast-path gate: with the router's edge cache on, the primed 3-replica
+#      fleet must sustain >= 1570 full-service QPS (5x the 314 QPS
 #      pre-fast-path fig7 baseline) with cache-hit p99 under 1ms and zero
 #      errors.
 bench-serve-check:
@@ -173,9 +166,9 @@ saturation:
 # behind the consistent-hash router — replica counts 1..3 at a fixed offered
 # rate, then a timeline run at the full fleet with a seed-chosen replica
 # killed mid-run and restored, then the warmed fast-path phase: the full
-# fleet rebuilt with the router's edge cache and micro-batcher on, every
-# shape primed through the router, and a 3-step offered sweep up to 1600 QPS
-# measuring what the hit path sustains. The run itself enforces the
+# fleet rebuilt with the router's edge cache on, every shape primed through
+# the router, and a 3-step offered sweep up to 1600 QPS measuring what the
+# hit path sustains. The run itself enforces the
 # availability contract (zero non-degraded 5xx, fleet reconverges to an
 # all-up /v1/cluster view) and fails if either breaks.
 scaleout:
@@ -193,19 +186,23 @@ chaos:
 
 # Cluster chaos sweep: a 3-replica fleet behind the router with seed-derived
 # pricing faults and client cancellations while the seed-chosen victim is
-# transport-killed mid-load, restored, and rolled onto a new generation with
-# peer warming. Audits the no-5xx contract, generation consistency, and
-# fleet reconvergence per seed; reproduce one with CHAOS_BASE=<seed>
+# transport-killed mid-load, restored, and rolled onto a new generation.
+# Audits the no-5xx contract, generation consistency, edge-cache coherence,
+# and fleet reconvergence per seed; reproduce one with CHAOS_BASE=<seed>
 # CHAOS_SEEDS=1.
 chaos-cluster:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -run '^TestChaosCluster$$' ./internal/cluster
 
-# Fuzz the artifact decoders (persisted libraries and selectors are the only
-# untrusted inputs in the system). Go allows one -fuzz pattern per
-# invocation, so each target gets its own run.
+# Fuzz the decoders of untrusted bytes: the artifact loaders (persisted
+# libraries and selectors), and, differentially against encoding/json, the
+# two wire scanners the router trusts (client select bodies, replica decision
+# metadata). Go allows one -fuzz pattern per invocation, so each target gets
+# its own run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadLibrary$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSelector$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSelectWire$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzScanDecisionMeta$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=$(SMOKE_FUZZTIME)

@@ -175,7 +175,7 @@ func main() {
 	scaleDuration := flag.Duration("scaleout-duration", 3*time.Second, "measurement window per replica count")
 	scaleKill := flag.Duration("scaleout-kill", 6*time.Second, "length of the replica-kill timeline run at the full fleet (0 skips it)")
 	scaleGate := flag.Float64("scaleout-gate", 0, "fail unless the full fleet's full-service QPS is at least this multiple of one replica's (0 = no gate)")
-	scaleWarmedQPS := flag.Int("scaleout-warmed-qps", 1600, "top offered QPS for the warmed fast-path phase (edge cache + micro-batching on); 0 skips the phase")
+	scaleWarmedQPS := flag.Int("scaleout-warmed-qps", 1600, "top offered QPS for the warmed fast-path phase (router edge cache on); 0 skips the phase")
 	scaleWarmedGate := flag.Float64("scaleout-warmed-gate", 0, "fail unless the warmed fleet's full-service QPS at the top offered step reaches this floor (0 = no gate)")
 	scaleWarmedP99 := flag.Duration("scaleout-warmed-p99", time.Millisecond, "p99 ceiling at the warmed phase's top offered step, enforced with -scaleout-warmed-gate (0 = no ceiling)")
 	flag.Parse()

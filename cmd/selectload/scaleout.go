@@ -57,9 +57,9 @@ type scaleoutConfig struct {
 	workers   int
 
 	// Warmed fast-path phase: after the strong-scaling sweep, the full fleet
-	// is rebuilt with the router's edge cache and micro-batcher on, the whole
-	// shape mix is warmed through the router, and a 3-step offered sweep
-	// measures what the fast path serves. warmedQPS 0 skips the phase.
+	// is rebuilt with the router's edge cache on, the whole shape mix is
+	// warmed through the router, and a 3-step offered sweep measures what
+	// the fast path serves. warmedQPS 0 skips the phase.
 	warmedQPS  int
 	warmedGate float64       // full-service QPS floor at the top offered step (0 = no gate)
 	warmedP99  time.Duration // p99 ceiling at the top offered step (0 = no gate)
@@ -154,12 +154,12 @@ func (f *scaleFleet) Close() {
 // budget-bound capacity even on a small host, rather than how many HTTP hops
 // one box can push.
 //
-// fastPath turns the router's edge cache and micro-batcher on. The strong-
-// scaling sweep and the kill timeline keep it off — a cache in front of the
-// replicas would decouple the measured rate from the admission budget and the
-// scaling ratio would stop meaning anything — while the warmed phase turns it
-// on to measure what the fast path itself sustains.
-func buildScaleFleet(n int, seed uint64, fastPath bool) (*scaleFleet, error) {
+// edgeCache turns the router's edge cache on. The strong-scaling sweep and
+// the kill timeline keep it off — a cache in front of the replicas would
+// decouple the measured rate from the admission budget and the scaling ratio
+// would stop meaning anything — while the warmed phase turns it on to
+// measure what the cache-hit path itself sustains.
+func buildScaleFleet(n int, seed uint64, edgeCache bool) (*scaleFleet, error) {
 	allShapes, _ := workload.DatasetShapes()
 	configs := gemm.AllConfigs()[:160]
 	trainShapes := allShapes[:24]
@@ -207,9 +207,8 @@ func buildScaleFleet(n int, seed uint64, fastPath bool) (*scaleFleet, error) {
 		HedgeDelay:    150 * time.Millisecond, // above the full pricing path: hedge on stragglers, not on every miss
 		ProbeInterval: 100 * time.Millisecond,
 	}
-	if fastPath {
+	if edgeCache {
 		ropts.EdgeCacheSize = 4096
-		ropts.BatchWindow = 250 * time.Microsecond
 	}
 	router, err := cluster.New(ropts)
 	if err != nil {
@@ -454,12 +453,12 @@ func runKillTimeline(sc scaleoutConfig) (*killReport, error) {
 	return kr, nil
 }
 
-// runWarmedPhase rebuilds the full fleet with the router fast path on (edge
-// cache + micro-batcher), primes every shape in the mix through the router,
-// then sweeps three offered rates up to warmedQPS. With the cache warm,
-// nearly every request is a pre-rendered zero-allocation hit, so the fleet's
-// ceiling is the router's proxy loop rather than the replicas' admission
-// budgets — the phase measures that ceiling and the hit-path latency.
+// runWarmedPhase rebuilds the full fleet with the router's edge cache on,
+// primes every shape in the mix through the router, then sweeps three
+// offered rates up to warmedQPS. With the cache warm, nearly every request
+// is a pre-rendered zero-allocation hit, so the fleet's ceiling is the
+// router's proxy loop rather than the replicas' admission budgets — the
+// phase measures that ceiling and the hit-path latency.
 func runWarmedPhase(sc scaleoutConfig) (*warmedReport, error) {
 	// The router's hit path allocates nothing, but this process also hosts
 	// the load generator, whose per-request marshal/decode garbage drives GC
@@ -494,8 +493,8 @@ func runWarmedPhase(sc scaleoutConfig) (*warmedReport, error) {
 		// previous step outside the measured window, so no collection lands
 		// mid-step on a small host.
 		runtime.GC()
-		hits0, _ := scrapeMetric(f.rts.URL, "selectrouter_cache_hits_total")
-		miss0, _ := scrapeMetric(f.rts.URL, "selectrouter_cache_misses_total")
+		hits0, _ := scrapeMetric(f.rts.URL, "router_edge_cache_hits_total")
+		miss0, _ := scrapeMetric(f.rts.URL, "router_edge_cache_misses_total")
 		r, err := run(config{
 			url:      f.rts.URL,
 			qps:      qps,
@@ -506,8 +505,8 @@ func runWarmedPhase(sc scaleoutConfig) (*warmedReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		hits1, _ := scrapeMetric(f.rts.URL, "selectrouter_cache_hits_total")
-		miss1, _ := scrapeMetric(f.rts.URL, "selectrouter_cache_misses_total")
+		hits1, _ := scrapeMetric(f.rts.URL, "router_edge_cache_hits_total")
+		miss1, _ := scrapeMetric(f.rts.URL, "router_edge_cache_misses_total")
 		pt := warmedPoint{OfferedQPS: qps, AchievedQPS: r.AchievedQPS}
 		for _, d := range r.Devices {
 			pt.P99Micros = d.P99Micros
@@ -783,7 +782,7 @@ func scaleoutFigure(rep scaleoutReport) (string, error) {
 			wp99[i] = float64(pt.P99Micros)
 		}
 		wt, err := plot.LineChart{
-			Title: fmt.Sprintf("Warmed fast path (%d replicas, edge cache + micro-batching on)",
+			Title: fmt.Sprintf("Warmed fast path (%d replicas, edge cache on)",
 				wr.Replicas),
 			XLabel: "offered QPS",
 			YLabel: "QPS",

@@ -7,13 +7,11 @@
 // candidate is down — answers degraded from a router-local engine trained
 // in-process, so a priceable shape never sees a 5xx.
 //
-// In front of the routing ladder sits the fast path: a generation-aware edge
-// cache (-edge-cache) answers repeat (device, shape) requests from
-// pre-rendered bodies with zero allocations, invalidated the moment the
-// gossiped view reports a generation bump for the owning replica, and an
-// adaptive micro-batcher (-batch-window) coalesces concurrent misses bound
-// for the same replica into one upstream /v1/select/batch call with
-// single-flight dedup per shape. Degraded answers are never cached.
+// In front of the routing ladder sits a generation-aware edge cache
+// (-edge-cache): repeat (device, shape) requests are answered from
+// pre-rendered bodies with zero allocations, and an entry is invalidated the
+// moment the gossiped view reports a generation bump for the owning replica.
+// Degraded answers are never cached. Every edge miss takes the ladder.
 //
 // Health is probed per replica (-probe-interval) and folded into a gossiped
 // view: GET /v1/cluster serves it, POST /v1/cluster merges a peer router's
@@ -21,25 +19,23 @@
 // pushes its view to after each probe round.
 //
 // POST /v1/reload rolls a named replica (or all of them, one at a time) onto
-// a fresh generation with peer cache-warming: before cutover the router
-// collects the hottest shapes of the reloading replica's shard from its
-// peers' served-shape windows and batch-prices them into the new generation,
-// so the shard returns to a warm cache.
+// a fresh generation: the replica leaves rotation, reloads, has its
+// edge-cache generation register advanced, and cuts back in.
 //
 // Endpoints:
 //
-//	POST /v1/select        routed single decision (shard primary, retry, hedge, degrade)
+//	POST /v1/select        routed single decision (edge cache, shard primary, retry, hedge, degrade)
 //	POST /v1/select/batch  shapes fan out to their shard owners and reassemble in order
 //	GET  /v1/cluster       gossiped health/generation view
 //	POST /v1/cluster       merge a peer router's view
-//	POST /v1/reload        {"replica":"...","device":"..."} rolling reload with peer warming
+//	POST /v1/reload        {"replica":"...","device":"..."} rolling reload
 //	GET  /healthz          200 always (the router degrades, it does not die); body counts replicas up
-//	GET  /metrics          Prometheus text: router_requests_total, router_retries_total, router_hedges_total, ...
+//	GET  /metrics          Prometheus text, every series prefixed router_
 //
 // Usage:
 //
 //	selectrouter -addr :8090 -replicas http://10.0.0.1:8080,http://10.0.0.2:8080 \
-//	    [-peers http://router-b:8090] [-probe-interval 2s] [-hedge-delay 25ms] [-retries 2]
+//	    [-peers http://router-b:8090] [-probe-interval 2s] [-hedge-delay 25ms] [-retries 2] [-edge-cache 4096]
 package main
 
 import (
@@ -47,7 +43,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -67,34 +65,48 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("selectrouter: ")
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "selectrouter: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	addr := flag.String("addr", ":8090", "listen address")
-	name := flag.String("name", "router", "router name in gossiped views")
-	replicasFlag := flag.String("replicas", "", "comma-separated selectd replicas, url or name=url (required)")
-	peersFlag := flag.String("peers", "", "comma-separated peer router base URLs to gossip views to")
-	probeInterval := flag.Duration("probe-interval", 2*time.Second, "health-probe and gossip cadence (0 disables the loop)")
-	hedgeDelay := flag.Duration("hedge-delay", 25*time.Millisecond, "launch a cross-shard hedged attempt after this wait (negative disables)")
-	retries := flag.Int("retries", 2, "sequential failover attempts beyond the first")
-	retryBackoff := flag.Duration("retry-backoff", 5*time.Millisecond, "pause between sequential attempts")
-	backoffCap := flag.Duration("backoff-cap", time.Second, "longest a Retry-After can deprioritize a replica")
-	vnodes := flag.Int("vnodes", 128, "virtual nodes per replica on the hash ring")
-	warmTop := flag.Int("warm-top", 64, "hottest shard shapes pre-priced from peer windows on reload")
-	edgeCache := flag.Int("edge-cache", 4096, "generation-aware edge cache entries per device (0 disables)")
-	batchWindow := flag.Duration("batch-window", 250*time.Microsecond, "coalesce concurrent misses to one replica within this window (0 disables)")
-	warmConns := flag.Int("warm-conns", 8, "persistent connections pre-warmed per replica at startup (negative disables)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty disables)")
-	devName := flag.String("device", "r9nano", "device model for the router-local fallback engine")
-	selName := flag.String("selector", "tree", "local fallback selector: tree, forest, 1nn, 3nn, linear-svm, radial-svm")
-	n := flag.Int("n", 8, "local fallback library size")
-	seed := flag.Uint64("seed", 42, "local fallback training seed")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain window")
-	flag.Parse()
+// run parses args, serves until ctx is cancelled, then drains in-flight
+// requests. Log lines go to logw. A nil return means the drain completed.
+func run(ctx context.Context, args []string, logw io.Writer) error {
+	logger := log.New(logw, "selectrouter: ", 0)
+	fs := flag.NewFlagSet("selectrouter", flag.ContinueOnError)
+	fs.SetOutput(logw)
+	addr := fs.String("addr", ":8090", "listen address")
+	name := fs.String("name", "router", "router name in gossiped views")
+	replicasFlag := fs.String("replicas", "", "comma-separated selectd replicas, url or name=url (required)")
+	peersFlag := fs.String("peers", "", "comma-separated peer router base URLs to gossip views to")
+	probeInterval := fs.Duration("probe-interval", 2*time.Second, "health-probe and gossip cadence (0 disables the loop)")
+	hedgeDelay := fs.Duration("hedge-delay", 25*time.Millisecond, "launch a cross-shard hedged attempt after this wait (negative disables)")
+	retries := fs.Int("retries", 2, "sequential failover attempts beyond the first")
+	retryBackoff := fs.Duration("retry-backoff", 5*time.Millisecond, "pause between sequential attempts")
+	backoffCap := fs.Duration("backoff-cap", time.Second, "longest a Retry-After can deprioritize a replica")
+	vnodes := fs.Int("vnodes", 128, "virtual nodes per replica on the hash ring")
+	edgeCache := fs.Int("edge-cache", 4096, "generation-aware edge cache entries per device (0 disables)")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (empty disables)")
+	devName := fs.String("device", "r9nano", "device model for the router-local fallback engine")
+	selName := fs.String("selector", "tree", "local fallback selector: tree, forest, 1nn, 3nn, linear-svm, radial-svm")
+	n := fs.Int("n", 8, "local fallback library size")
+	seed := fs.Uint64("seed", 42, "local fallback training seed")
+	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain window")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	replicas, err := parseReplicas(*replicasFlag)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The local fallback engine is a full in-process selectd backend trained
@@ -103,7 +115,7 @@ func main() {
 	// does not.
 	local, err := localEngine(*devName, *selName, *n, *seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer local.Close()
 
@@ -116,21 +128,21 @@ func main() {
 		HedgeDelay:    *hedgeDelay,
 		BackoffCap:    *backoffCap,
 		Vnodes:        *vnodes,
-		WarmTop:       *warmTop,
 		ProbeInterval: *probeInterval,
 		Peers:         splitList(*peersFlag),
 		EdgeCacheSize: *edgeCache,
-		BatchWindow:   *batchWindow,
-		WarmConns:     *warmConns,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	router.Start()
 	defer router.Close()
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           router.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
@@ -148,41 +160,40 @@ func main() {
 		pmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		psrv := &http.Server{Addr: *pprofAddr, Handler: pmux, ReadHeaderTimeout: 5 * time.Second}
+		defer psrv.Close()
 		go func() {
-			log.Printf("pprof on %s", *pprofAddr)
+			logger.Printf("pprof on %s", *pprofAddr)
 			if err := psrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("pprof listener: %v", err)
+				logger.Printf("pprof listener: %v", err)
 			}
 		}()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
+	go func() { errCh <- httpSrv.Serve(ln) }()
 	for _, rep := range replicas {
-		log.Printf("replica %s -> %s", rep.Name, rep.URL)
+		logger.Printf("replica %s -> %s", rep.Name, rep.URL)
 	}
-	log.Printf("routing on %s (%d replicas, local fallback %s)", *addr, len(replicas), *devName)
+	logger.Printf("routing on %s (%d replicas, local fallback %s)", ln.Addr(), len(replicas), *devName)
 
 	select {
 	case err := <-errCh:
-		log.Fatal(err)
+		return err
 	case <-ctx.Done():
 	}
 
-	log.Printf("signal received, draining for up to %v", *drainTimeout)
+	logger.Printf("shutting down, draining for up to %v", *drainTimeout)
 	router.Close() // stop probing/gossiping before the listener goes away
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		log.Fatalf("drain incomplete: %v", err)
+		return fmt.Errorf("drain incomplete: %w", err)
 	}
 	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
+		return err
 	}
-	log.Print("drained cleanly")
+	logger.Print("drained cleanly")
+	return nil
 }
 
 // parseReplicas turns "-replicas url,name=url,..." into the fleet roster.

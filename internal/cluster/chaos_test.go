@@ -25,7 +25,7 @@ import (
 // TestChaosCluster drives a 3-replica fleet through seed-determined pricing
 // spikes/errors and client cancellations while one replica — chosen by the
 // seed — is killed at the transport mid-load, restored, and rolled onto a new
-// generation through the router's peer-warmed reload. The audit pins the
+// generation through the router's rolling reload. The audit pins the
 // cluster resilience invariants:
 //
 //   - a priceable shape never sees a 5xx: every response is 200 (the fleet
@@ -132,7 +132,6 @@ func chaosClusterRun(t *testing.T, seed uint64) {
 		RetryBackoff:  2 * time.Millisecond,
 		HedgeDelay:    10 * time.Millisecond,
 		EdgeCacheSize: 2048,
-		BatchWindow:   150 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +201,7 @@ func chaosClusterRun(t *testing.T, seed uint64) {
 
 	// The chaos conductor: probe → kill the victim mid-run → probe (the
 	// fleet routes around it) → restore → probe (it rejoins) → roll it onto
-	// the new generation with peer warming.
+	// the new generation.
 	conduct := func() error {
 		step := 18 * time.Millisecond
 		probe := func() { router.ProbeOnce(context.Background()) }
@@ -355,11 +354,11 @@ func chaosClusterRun(t *testing.T, seed uint64) {
 	}
 
 	st := inj.Stats()
-	t.Logf("seed %d: %d requests (%d degraded, %d router fallbacks); victim %d severed %d conns; injected %d spikes %d errors %d cancels; router: %d retries %d hedges %d hedge-wins %d replica-errors; edge: %d entries %d hits %d invalidations %d coalesced",
+	t.Logf("seed %d: %d requests (%d degraded, %d router fallbacks); victim %d severed %d conns; injected %d spikes %d errors %d cancels; router: %d retries %d hedges %d hedge-wins %d replica-errors; edge: %d entries %d hits %d invalidations",
 		seed, total, degradedN, fallbackN, victim, outages[victim].Severed(),
 		st.Spikes, st.Errors, st.Cancels,
 		router.metrics.retries.Load(), router.metrics.hedges.Load(),
 		router.metrics.hedgeWins.Load(), router.metrics.repErrors.Load(),
 		cacheEntries, router.metrics.edgeHits.Load(),
-		router.metrics.edgeInvalidations.Load(), router.metrics.coalesced.Load())
+		router.metrics.edgeInvalidations.Load())
 }

@@ -12,9 +12,9 @@ const (
 	StateUp = "up"
 	// StateDown: probes or requests fail; its shards re-hash to successors.
 	StateDown = "down"
-	// StateWarming: the replica is mid-reload with peer cache-warming in
-	// progress; it is held out of rotation until cutover even though its
-	// listener answers, so the new generation goes live with a hot cache.
+	// StateWarming: the replica is mid-reload; it is held out of rotation
+	// until cutover even though its listener answers, so no request lands on
+	// it while its generation swaps.
 	StateWarming = "warming"
 )
 
@@ -153,9 +153,9 @@ func (t *healthTable) upCount() int {
 // ProbeOnce health-probes every replica once, concurrently, and folds the
 // results into the view: an answering replica is marked up with its per-device
 // generations, a failing one down with the error. Replicas the router is
-// actively warming are left alone — their listener answers probes, but they
-// stay out of rotation until the warm cutover. Deterministic tests and the
-// chaos harness call this directly; production runs it on ProbeInterval.
+// actively reloading are left alone — their listener answers probes, but they
+// stay out of rotation until cutover. Deterministic tests and the chaos
+// harness call this directly; production runs it on ProbeInterval.
 func (r *Router) ProbeOnce(ctx context.Context) View {
 	var wg sync.WaitGroup
 	for _, rep := range r.replicas {

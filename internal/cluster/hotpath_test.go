@@ -5,11 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
-	"time"
-
-	"kernelselect/internal/serve"
 )
 
 // reuseWriter is a ResponseWriter with no per-request allocations of its own,
@@ -111,42 +107,5 @@ func BenchmarkRouterCacheHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rr.run()
-	}
-}
-
-// BenchmarkRouterCoalesce measures the micro-batcher's amplification under a
-// same-shape herd with the edge cache off: every request is a miss, and the
-// reported reqs/upstream ratio is how many client requests each upstream
-// dispatch absorbed (1.0 would mean no coalescing at all).
-func BenchmarkRouterCoalesce(b *testing.B) {
-	f := newTestFleet(b, 3, Options{HedgeDelay: -1, BatchWindow: 200 * time.Microsecond},
-		serve.Options{MaxInFlight: 256, WindowSize: 512}, nil)
-
-	warm := newRouterRunner(f.router, hotPayload)
-	warm.run()
-	if warm.w.code != http.StatusOK {
-		b.Fatalf("warm request failed: %d", warm.w.code)
-	}
-	before := f.router.metrics.batchSizes.count.Load()
-
-	var total, failed atomic.Int64
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		rr := newRouterRunner(f.router, hotPayload)
-		for pb.Next() {
-			rr.run()
-			total.Add(1)
-			if rr.w.code != http.StatusOK {
-				failed.Add(1)
-			}
-		}
-	})
-	b.StopTimer()
-	if n := failed.Load(); n > 0 {
-		b.Fatalf("%d of %d requests failed", n, total.Load())
-	}
-	if upstream := f.router.metrics.batchSizes.count.Load() - before; upstream > 0 {
-		b.ReportMetric(float64(total.Load())/float64(upstream), "reqs/upstream")
 	}
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,17 +24,12 @@ type routerMetrics struct {
 	probes    atomic.Uint64 // health probes issued
 	merges    atomic.Uint64 // gossip entries adopted from peers
 	reloads   atomic.Uint64 // replica reloads orchestrated
-	warmed    atomic.Uint64 // shapes peer-warmed into reloading replicas
-	repErrors atomic.Uint64 // replica transport errors observed
+	repErrors atomic.Uint64 // failed replica calls: transport errors, and batch 429/5xx
 
-	// Edge fast-path series: cache traffic, single-flight shape joins
-	// absorbed by the micro-batcher, and the size distribution of upstream
-	// dispatches (a solo dispatch observes 1).
+	// Edge cache traffic.
 	edgeHits          atomic.Uint64
 	edgeMisses        atomic.Uint64
 	edgeInvalidations atomic.Uint64
-	coalesced         atomic.Uint64
-	batchSizes        sizeHistogram
 
 	// wins counts, per replica, responses actually returned to a client —
 	// a hedged request increments exactly one replica's counter.
@@ -60,27 +54,6 @@ func (m *routerMetrics) counter(endpoint string, code int) *atomic.Uint64 {
 
 func (m *routerMetrics) request(endpoint string, code int) {
 	m.counter(endpoint, code).Add(1)
-}
-
-// sizeBounds are the selectrouter_batchsize bucket upper bounds; sizes above
-// the last land in +Inf.
-var sizeBounds = [7]uint64{1, 2, 4, 8, 16, 32, 64}
-
-// sizeHistogram is a fixed-bucket histogram of upstream dispatch sizes.
-type sizeHistogram struct {
-	buckets [8]atomic.Uint64 // le 1,2,4,8,16,32,64,+Inf
-	sum     atomic.Uint64
-	count   atomic.Uint64
-}
-
-func (h *sizeHistogram) observe(n int) {
-	i := 0
-	for i < len(sizeBounds) && uint64(n) > sizeBounds[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
-	h.sum.Add(uint64(n))
-	h.count.Add(1)
 }
 
 // render emits the router series; upFn supplies the health gauge per replica.
@@ -112,30 +85,10 @@ func (m *routerMetrics) render(upFn func(name string) float64) string {
 	counter("router_probes_total", m.probes.Load())
 	counter("router_gossip_merges_total", m.merges.Load())
 	counter("router_reloads_total", m.reloads.Load())
-	counter("router_warmed_shapes_total", m.warmed.Load())
 	counter("router_replica_errors_total", m.repErrors.Load())
-
-	counter("selectrouter_cache_hits_total", m.edgeHits.Load())
-	counter("selectrouter_cache_misses_total", m.edgeMisses.Load())
-	counter("selectrouter_cache_invalidations_total", m.edgeInvalidations.Load())
-	counter("selectrouter_coalesced_total", m.coalesced.Load())
-	hits, misses := m.edgeHits.Load(), m.edgeMisses.Load()
-	rate := 0.0
-	if hits+misses > 0 {
-		rate = float64(hits) / float64(hits+misses)
-	}
-	fmt.Fprintf(&b, "# TYPE selectrouter_cache_hit_rate gauge\nselectrouter_cache_hit_rate %g\n", rate)
-
-	b.WriteString("# TYPE selectrouter_batchsize histogram\n")
-	cum := uint64(0)
-	for i, bound := range sizeBounds {
-		cum += m.batchSizes.buckets[i].Load()
-		fmt.Fprintf(&b, "selectrouter_batchsize_bucket{le=%q} %d\n", strconv.FormatUint(bound, 10), cum)
-	}
-	cum += m.batchSizes.buckets[len(sizeBounds)].Load()
-	fmt.Fprintf(&b, "selectrouter_batchsize_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(&b, "selectrouter_batchsize_sum %d\n", m.batchSizes.sum.Load())
-	fmt.Fprintf(&b, "selectrouter_batchsize_count %d\n", m.batchSizes.count.Load())
+	counter("router_edge_cache_hits_total", m.edgeHits.Load())
+	counter("router_edge_cache_misses_total", m.edgeMisses.Load())
+	counter("router_edge_cache_invalidations_total", m.edgeInvalidations.Load())
 
 	b.WriteString("# TYPE router_replica_wins_total counter\n")
 	for i, name := range m.reps {

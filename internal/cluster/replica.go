@@ -152,12 +152,14 @@ type batchResults struct {
 	Results []serve.Decision `json:"results"`
 }
 
-// statusError is a failed control/batch call where the transport worked and
-// the replica answered with a non-200: it is alive but unwilling (saturated,
-// draining, bad request), which the router treats as backoff pressure rather
-// than replica death.
+// statusError is a failed batch call where the transport worked and the
+// replica answered with a non-200: it is alive but unwilling (saturated,
+// draining) or the request was bad, and body is its verbatim answer. The
+// router treats it as backoff pressure or a client error, never as replica
+// death.
 type statusError struct {
 	status int
+	body   []byte
 	msg    string
 }
 
@@ -190,7 +192,8 @@ func appendBatchBody(b []byte, device string, shapes []gemm.Shape) []byte {
 
 // Batch prices a set of shapes on one device in a single round trip,
 // returning the decisions in request order. A non-200 reply comes back as a
-// *statusError so callers can tell saturation from transport death.
+// *statusError so callers can tell a bad request or saturation from
+// transport death.
 func (r *Replica) Batch(ctx context.Context, device string, shapes []gemm.Shape) ([]serve.Decision, error) {
 	var body []byte
 	var bp *[]byte
@@ -216,7 +219,7 @@ func (r *Replica) Batch(ctx context.Context, device string, shapes []gemm.Shape)
 		return nil, err
 	}
 	if status != http.StatusOK {
-		return nil, &statusError{status: status, msg: fmt.Sprintf("replica %s batch: status %d: %s", r.Name, status, truncate(b, 200))}
+		return nil, &statusError{status: status, body: b, msg: fmt.Sprintf("replica %s batch: status %d: %s", r.Name, status, truncate(b, 200))}
 	}
 	var out batchResults
 	if err := json.Unmarshal(b, &out); err != nil {
@@ -261,31 +264,6 @@ func (r *Replica) Probe(ctx context.Context) (map[string]uint64, error) {
 	return gens, nil
 }
 
-// windowWire mirrors serve's GET /v1/window body.
-type windowWire struct {
-	Device string           `json:"device"`
-	Size   int              `json:"window_size"`
-	Shapes []serve.HotShape `json:"shapes"`
-}
-
-// Window fetches the replica's hottest served shapes for one device — the
-// peer-side input to cache-warming a reloading shard.
-func (r *Replica) Window(ctx context.Context, device string, top int) ([]serve.HotShape, error) {
-	path := fmt.Sprintf("/v1/window?device=%s&top=%d", device, top)
-	status, _, b, err := r.roundTrip(ctx, http.MethodGet, path, nil)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("replica %s window: status %d: %s", r.Name, status, truncate(b, 200))
-	}
-	var win windowWire
-	if err := json.Unmarshal(b, &win); err != nil {
-		return nil, fmt.Errorf("replica %s window decode: %w", r.Name, err)
-	}
-	return win.Shapes, nil
-}
-
 // reloadWire mirrors serve's reload response (the subset the router reads).
 type reloadWire struct {
 	Device     string `json:"device"`
@@ -315,47 +293,6 @@ func (r *Replica) Reload(ctx context.Context, device string) (reloadWire, error)
 		return reloadWire{}, fmt.Errorf("replica %s reload decode: %w", r.Name, err)
 	}
 	return rr, nil
-}
-
-// Devices lists the replica's device backends via GET /v1/devices.
-func (r *Replica) Devices(ctx context.Context) ([]string, error) {
-	status, _, b, err := r.roundTrip(ctx, http.MethodGet, "/v1/devices", nil)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("replica %s devices: status %d", r.Name, status)
-	}
-	var resp struct {
-		Devices []struct {
-			Name string `json:"name"`
-		} `json:"devices"`
-	}
-	if err := json.Unmarshal(b, &resp); err != nil {
-		return nil, fmt.Errorf("replica %s devices decode: %w", r.Name, err)
-	}
-	names := make([]string, len(resp.Devices))
-	for i, d := range resp.Devices {
-		names[i] = d.Name
-	}
-	return names, nil
-}
-
-// WarmConns pre-establishes up to n persistent connections by holding n
-// health probes in flight at once; the transport parks each one idle
-// afterwards (the default client keeps a deep idle pool), so the first burst
-// of routed traffic reuses warm sockets instead of paying connection setup
-// under load. Best effort: probe failures are ignored.
-func (r *Replica) WarmConns(ctx context.Context, n int) {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.roundTrip(ctx, http.MethodGet, "/healthz", nil)
-		}()
-	}
-	wg.Wait()
 }
 
 // parseRetryAfter interprets one Retry-After header value. RFC 7231 allows

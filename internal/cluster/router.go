@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,9 +42,6 @@ type Options struct {
 	BackoffCap time.Duration
 	// Vnodes per replica on the hash ring (default 128).
 	Vnodes int
-	// WarmTop bounds hot shapes gathered from each peer window during a
-	// peer-warmed reload (default 64).
-	WarmTop int
 	// ProbeInterval runs the background probe+gossip loop when positive;
 	// zero leaves probing to explicit ProbeOnce calls (tests, chaos).
 	ProbeInterval time.Duration
@@ -60,16 +56,6 @@ type Options struct {
 	// a newer body) reports a bump; degraded answers are never cached.
 	// 0 disables (default).
 	EdgeCacheSize int
-	// BatchWindow enables adaptive micro-batching when positive: concurrent
-	// cache misses bound for the same replica within the window coalesce
-	// into one upstream batch call, with single-flight dedup per shape. An
-	// isolated miss still dispatches immediately through the retry/hedge
-	// ladder, so low-concurrency p50 does not regress. 0 disables (default).
-	BatchWindow time.Duration
-	// WarmConns pre-establishes this many persistent connections per replica
-	// at Start — sized to the batch fan-out so the first burst of routed
-	// traffic reuses warm sockets (default 8; negative disables).
-	WarmConns int
 }
 
 func (o Options) withDefaults() Options {
@@ -88,12 +74,6 @@ func (o Options) withDefaults() Options {
 	if o.BackoffCap == 0 {
 		o.BackoffCap = time.Second
 	}
-	if o.WarmTop == 0 {
-		o.WarmTop = 64
-	}
-	if o.WarmConns == 0 {
-		o.WarmConns = 8
-	}
 	return o
 }
 
@@ -101,10 +81,9 @@ func (o Options) withDefaults() Options {
 // (device, shape-bucket), bounded retry with backoff, one cross-shard hedged
 // attempt, and a router-local degraded fallback so a priceable shape is never
 // answered with a 5xx. Health observations gossip between routers as
-// Seq-versioned views on /v1/cluster. On top of the routing ladder sits the
-// fast path: a generation-aware edge cache answering repeats with zero
-// allocations, and an adaptive micro-batcher coalescing concurrent misses
-// into single upstream batch calls.
+// Seq-versioned views on /v1/cluster. In front of the routing ladder sits a
+// generation-aware edge cache answering repeats with zero allocations; every
+// edge miss takes the ladder.
 type Router struct {
 	name     string
 	replicas []*Replica
@@ -114,12 +93,10 @@ type Router struct {
 	metrics  *routerMetrics
 	opts     Options
 
-	// edge is the generation-aware response cache (nil when disabled);
-	// batchers holds one micro-batch coalescer per replica (nil when
-	// disabled). selectHit is the pre-resolved select|200 request counter so
-	// the cache-hit path skips the formatted-key metrics lookup.
+	// edge is the generation-aware response cache (nil when disabled).
+	// selectHit is the pre-resolved select|200 request counter so the
+	// cache-hit path skips the formatted-key metrics lookup.
 	edge      *edgeCache
-	batchers  []repBatcher
 	selectHit *atomic.Uint64
 
 	// backoffUntil holds per-replica unix-nano timestamps: a saturated
@@ -177,35 +154,11 @@ func New(opts Options) (*Router, error) {
 			}
 		}
 	}
-	if opts.BatchWindow > 0 {
-		r.batchers = make([]repBatcher, len(opts.Replicas))
-		for i := range r.batchers {
-			r.batchers[i].pending = make(map[string]*batchGroup, 2)
-		}
-	}
 	return r, nil
 }
 
-// Start launches the background probe+gossip loop when ProbeInterval is set,
-// and pre-warms each replica's persistent connection pool.
+// Start launches the background probe+gossip loop when ProbeInterval is set.
 func (r *Router) Start() {
-	if r.opts.WarmConns > 0 {
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			var wg sync.WaitGroup
-			for _, rep := range r.replicas {
-				wg.Add(1)
-				go func(rep *Replica) {
-					defer wg.Done()
-					rep.WarmConns(ctx, r.opts.WarmConns)
-				}(rep)
-			}
-			wg.Wait()
-		}()
-	}
 	if r.opts.ProbeInterval <= 0 {
 		return
 	}
@@ -453,28 +406,11 @@ func (r *Router) cacheFillBody(device string, shape gemm.Shape, rep, status int,
 	r.edge.put(device, shape, rep, gen, body)
 }
 
-// cacheFillDecision caches one already-rendered decision body whose metadata
-// is known (the micro-batcher's path; degraded was filtered by the caller).
-func (r *Router) cacheFillDecision(device string, shape gemm.Shape, rep int, gen uint64, body []byte) {
-	if r.edge == nil {
-		return
-	}
-	r.edge.put(device, shape, rep, gen, body)
-}
-
 // route answers one select request through the full ladder: consistent-hash
-// candidates, liveness filter, micro-batcher or retry+hedge, local degraded
-// fallback. Successful full-quality answers refill the edge cache on the way
-// out.
+// candidates, liveness filter, retry+hedge, local degraded fallback.
+// Successful full-quality answers refill the edge cache on the way out.
 func (r *Router) route(ctx context.Context, device string, shape gemm.Shape) (int, []byte, http.Header) {
-	order := r.ring.candidates(device, shape)
-	alive := r.routable(order)
-	if r.batchers != nil && len(alive) > 0 {
-		if status, body, ok := r.routeCoalesced(ctx, device, shape, alive); ok {
-			return status, body, nil
-		}
-		return r.fallback(ctx, device, shape)
-	}
+	alive := r.routable(r.ring.candidates(device, shape))
 	if res, ok := r.tryReplicas(ctx, alive, device, shape); ok {
 		r.metrics.wins[res.idx].Add(1)
 		if res.hedge {
@@ -560,7 +496,10 @@ func (r *Router) writeResponse(w http.ResponseWriter, endpoint string, status in
 // handleBatch shards a batch across the fleet: shapes group by their ring
 // primary, each group rides one replica batch call (walking that group's
 // candidate list on failure), and shapes whose candidates are all down get
-// individual local fallback answers. Results return in request order.
+// individual local fallback answers. Results return in request order. A
+// client error is the whole batch's answer, as it is from a single selectd:
+// a replica's 4xx other than 429 passes through verbatim, and a shape the
+// local fallback cannot answer fails the batch with the fallback's status.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	var br batchWire
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBody))
@@ -595,12 +534,25 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	results := make([]serve.Decision, len(shapes))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	fallbackOne := func(i int) {
-		status, out, _ := r.fallback(req.Context(), br.Device, shapes[i])
-		var d serve.Decision
-		if status == http.StatusOK {
-			json.Unmarshal(out, &d)
+	// The first failure recorded is the batch's response.
+	var failStatus int
+	var failBody []byte
+	var failHdr http.Header
+	fail := func(status int, body []byte, hdr http.Header) {
+		mu.Lock()
+		if failStatus == 0 {
+			failStatus, failBody, failHdr = status, body, hdr
 		}
+		mu.Unlock()
+	}
+	fallbackOne := func(i int) {
+		status, out, hdr := r.fallback(req.Context(), br.Device, shapes[i])
+		if status != http.StatusOK {
+			fail(status, out, hdr)
+			return
+		}
+		var d serve.Decision
+		json.Unmarshal(out, &d)
 		mu.Lock()
 		results[i] = d
 		mu.Unlock()
@@ -624,6 +576,13 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 				tried++
 				decs, err := r.replicas[idx].Batch(req.Context(), br.Device, group)
 				if err != nil {
+					var se *statusError
+					if errors.As(err, &se) && clientError(se.status) {
+						// The request itself is bad (unknown device, too many
+						// shapes): every candidate would refuse it alike.
+						fail(se.status, se.body, nil)
+						return
+					}
 					r.noteBatchError(req.Context(), idx, err)
 					continue
 				}
@@ -645,12 +604,40 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		go func(i int) { defer wg.Done(); fallbackOne(i) }(i)
 	}
 	wg.Wait()
+	if failStatus != 0 {
+		r.writeResponse(w, "batch", failStatus, failBody, failHdr)
+		return
+	}
 
 	bp := selectBufPool.Get().(*[]byte)
 	out := serve.AppendBatchJSON((*bp)[:0], results)
 	r.writeResponse(w, "batch", http.StatusOK, out, nil)
 	*bp = out[:0]
 	selectBufPool.Put(bp)
+}
+
+// clientError reports whether a replica status blames the request rather
+// than the replica: any 4xx except 429, which is saturation.
+func clientError(status int) bool {
+	return status >= 400 && status < 500 && status != http.StatusTooManyRequests
+}
+
+// noteBatchError classifies one failed upstream batch call: a non-200 status
+// means the replica is alive but unwilling (saturation, draining) and earns
+// backoff, while a transport error with a live context marks it down so its
+// shards re-hash.
+func (r *Router) noteBatchError(ctx context.Context, idx int, err error) {
+	r.metrics.repErrors.Add(1)
+	var se *statusError
+	if errors.As(err, &se) {
+		if se.status == http.StatusTooManyRequests || se.status >= 500 {
+			r.setBackoff(idx, r.opts.RetryBackoff)
+		}
+		return
+	}
+	if ctx.Err() == nil {
+		r.health.observe(r.replicas[idx].Name, StateDown, nil, err.Error())
+	}
 }
 
 // maxBody mirrors serve's request body cap for the control endpoints; select
@@ -686,7 +673,6 @@ type reloadSummary struct {
 	Replica    string `json:"replica"`
 	Device     string `json:"device,omitempty"`
 	Generation uint64 `json:"generation"`
-	Warmed     int    `json:"warmed"`
 	Err        string `json:"error,omitempty"`
 }
 
@@ -744,12 +730,10 @@ func (r *Router) handleReload(w http.ResponseWriter, req *http.Request) {
 	r.writeResponse(w, "reload", code, out, nil)
 }
 
-// reloadReplica rolls one replica onto a fresh generation with peer
-// cache-warming: the replica leaves rotation (state warming, so its shards
-// re-hash to successors and gather traffic there), reloads, pre-prices the
-// hottest shapes its peers observed for its shards, and only then cuts back
-// in. The new generation goes live warm instead of eating a cold-start
-// latency cliff on its own shard.
+// reloadReplica rolls one replica onto a fresh generation: the replica leaves
+// rotation (state warming, so its shards re-hash to successors), reloads, has
+// its edge-cache generation register advanced, and cuts back in. The replica
+// warms its own decision cache for the new generation.
 func (r *Router) reloadReplica(ctx context.Context, idx int, device string) reloadSummary {
 	rep := r.replicas[idx]
 	sum := reloadSummary{Replica: rep.Name, Device: device}
@@ -779,65 +763,7 @@ func (r *Router) reloadReplica(ctx context.Context, idx int, device string) relo
 		// lands, before any probe round confirms it.
 		r.edge.noteGens(idx, map[string]uint64{rw.Device: rw.Generation})
 	}
-
-	warm := r.gatherWarmShapes(ctx, idx, device)
-	if len(warm) > 0 {
-		if _, err := rep.Batch(ctx, device, warm); err == nil {
-			sum.Warmed = len(warm)
-			r.metrics.warmed.Add(uint64(len(warm)))
-		}
-	}
 	return sum
-}
-
-// gatherWarmShapes collects, from every up peer's served-shape window, the
-// hot shapes whose all-up ring primary is the reloading replica — exactly the
-// traffic that re-hashed away while it was out, and exactly what will come
-// back at cutover. Deduped and ordered hottest-first.
-func (r *Router) gatherWarmShapes(ctx context.Context, idx int, device string) []gemm.Shape {
-	type hot struct {
-		shape gemm.Shape
-		count int
-	}
-	var hots []hot
-	seen := make(map[gemm.Shape]bool)
-	for i, peer := range r.replicas {
-		if i == idx || r.health.state(peer.Name) != StateUp {
-			continue
-		}
-		shapes, err := peer.Window(ctx, device, r.opts.WarmTop)
-		if err != nil {
-			continue
-		}
-		for _, hs := range shapes {
-			shape := gemm.Shape{M: hs.M, K: hs.K, N: hs.N}
-			if seen[shape] {
-				continue
-			}
-			// Primary on the all-up ring: where this shape's traffic lives
-			// when the fleet is healthy — warming anything else would heat a
-			// cache the replica will never be asked from.
-			if r.ring.candidates(device, shape)[0] != idx {
-				continue
-			}
-			seen[shape] = true
-			hots = append(hots, hot{shape: shape, count: hs.Count})
-		}
-	}
-	sort.Slice(hots, func(i, j int) bool {
-		if hots[i].count != hots[j].count {
-			return hots[i].count > hots[j].count
-		}
-		return hots[i].shape.String() < hots[j].shape.String()
-	})
-	if len(hots) > r.opts.WarmTop {
-		hots = hots[:r.opts.WarmTop]
-	}
-	out := make([]gemm.Shape, len(hots))
-	for i, h := range hots {
-		out[i] = h.shape
-	}
-	return out
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {

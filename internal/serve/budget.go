@@ -74,9 +74,9 @@ type backend struct {
 
 	// reloadCall coalesces concurrent POST /v1/reload requests for this
 	// backend: overlapping requests ride the leader's source read + swap and
-	// answer with the same generation, so a reload storm (the cluster
-	// router's peer-warm cutover retries, a misfiring deploy hook) builds one
-	// generation instead of racing to build N and discarding N-1.
+	// answer with the same generation, so a reload storm (overlapping
+	// operator calls, a misfiring deploy hook) builds one generation instead
+	// of racing to build N and discarding N-1.
 	reloadMu   sync.Mutex
 	reloadCall *reloadCall
 }

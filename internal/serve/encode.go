@@ -191,9 +191,9 @@ func scanString(b []byte, i int) (s []byte, next int, ok bool) {
 	return nil, i, false
 }
 
-// scanInt scans an optionally-negative decimal integer. Floats, exponents
-// and overlong digit runs punt to the stdlib so type-mismatch errors keep
-// their exact stdlib text.
+// scanInt scans an optionally-negative decimal integer. Floats, exponents,
+// overlong digit runs and leading zeros (not JSON) punt to the stdlib so
+// errors keep their exact stdlib text.
 func scanInt(b []byte, i int) (v, next int, ok bool) {
 	j := i
 	neg := false
@@ -206,7 +206,7 @@ func scanInt(b []byte, i int) (v, next int, ok bool) {
 		v = v*10 + int(b[j]-'0')
 		j++
 	}
-	if j == start || j-start > 18 {
+	if j == start || j-start > 18 || (b[start] == '0' && j-start > 1) {
 		return 0, i, false
 	}
 	if j < len(b) && (b[j] == '.' || b[j] == 'e' || b[j] == 'E') {

@@ -2,13 +2,8 @@ package serve
 
 import (
 	"context"
-	"fmt"
-	"net/http"
-	"sort"
-	"strconv"
 
 	"kernelselect/internal/gemm"
-	"kernelselect/internal/par"
 )
 
 // Engine is the transport-agnostic face of the decision engine: everything a
@@ -26,17 +21,6 @@ type Engine interface {
 	// a context that expires mid-computation — never for pricing failures,
 	// which degrade instead.
 	Decide(ctx context.Context, device string, shape gemm.Shape) (Decision, error)
-
-	// DecideBatch answers many shapes on one device backend in a single
-	// engine entry, with POST /v1/select/batch semantics: one admission
-	// token covers the whole batch (exhaustion degrades every miss while
-	// cache hits keep full quality), and misses price concurrently on the
-	// server's worker pool. It fails only for an unknown device, an invalid
-	// or oversized shape list, or an expired context.
-	DecideBatch(ctx context.Context, device string, shapes []gemm.Shape) ([]Decision, error)
-
-	// Devices lists the hosted device names; the first is the default route.
-	Devices() []string
 }
 
 // Decide implements Engine over the server's full serving ladder. It is the
@@ -73,145 +57,4 @@ func (s *Server) Decide(ctx context.Context, device string, shape gemm.Shape) (D
 	be.inflight.Add(1)
 	defer be.inflight.Add(-1)
 	return s.decide(ctx, be, shape)
-}
-
-// DecideBatch implements Engine with the same core the HTTP batch handler
-// runs: shapes validate up front, one admission token covers the batch, and
-// misses fan out over the worker pool via the shared decide ladder. The
-// cluster router's micro-batcher consumes this for its local fallback and
-// tests pin it against the HTTP surface.
-func (s *Server) DecideBatch(ctx context.Context, device string, shapes []gemm.Shape) ([]Decision, error) {
-	be, err := s.backend(device)
-	if err != nil {
-		return nil, err
-	}
-	if len(shapes) == 0 {
-		return nil, fmt.Errorf("batch has no shapes")
-	}
-	if len(shapes) > s.opts.MaxBatch {
-		return nil, fmt.Errorf("batch of %d shapes exceeds limit %d", len(shapes), s.opts.MaxBatch)
-	}
-	for i := range shapes {
-		if err := shapes[i].Validate(); err != nil {
-			return nil, fmt.Errorf("shape %d: %v", i, err)
-		}
-	}
-	release, ok := be.acquire()
-	if !ok {
-		// Budget exhausted: exactly like Decide, hits stay full quality and
-		// misses degrade to the fallback config rather than erroring.
-		gen := be.gen.Load()
-		results := make([]Decision, len(shapes))
-		for i, sh := range shapes {
-			if d, hit := gen.cache.get(sh); hit {
-				d.Cached = true
-				s.account(be, gen, sh, &d)
-				results[i] = d
-				continue
-			}
-			results[i] = s.degradedDecision(be, gen, sh, reasonBudget)
-			s.account(be, gen, sh, &results[i])
-		}
-		return results, nil
-	}
-	defer release()
-	be.inflight.Add(1)
-	defer be.inflight.Add(-1)
-	results := par.Map(s.opts.Workers, len(shapes), func(i int) Decision {
-		d, err := s.decide(ctx, be, shapes[i])
-		if err != nil {
-			return Decision{} // context expired: the batch is void
-		}
-		return d
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// HotShape is one entry of a backend's served-shape window aggregated by
-// frequency: the shape and how many window slots it currently occupies.
-type HotShape struct {
-	M     int `json:"m"`
-	K     int `json:"k"`
-	N     int `json:"n"`
-	Count int `json:"count"`
-}
-
-// HotShapes aggregates the named backend's served-shape window into its
-// hottest shapes, most-served first (count descending, then shape string
-// ascending so equal counts order deterministically). top bounds the result
-// (<= 0 returns every distinct shape). A disabled window returns an empty
-// list. The cluster router's peer cache-warming reads this through
-// GET /v1/window: a restarted replica pre-prices the shapes its peers
-// observed while covering for it, before traffic cuts back over.
-func (s *Server) HotShapes(device string, top int) ([]HotShape, error) {
-	be, err := s.backend(device)
-	if err != nil {
-		return nil, err
-	}
-	if be.window == nil {
-		return nil, nil
-	}
-	counts := make(map[gemm.Shape]int)
-	for _, sh := range be.window.snapshot() {
-		counts[sh]++
-	}
-	hot := make([]HotShape, 0, len(counts))
-	for sh, c := range counts {
-		hot = append(hot, HotShape{M: sh.M, K: sh.K, N: sh.N, Count: c})
-	}
-	sort.Slice(hot, func(i, j int) bool {
-		if hot[i].Count != hot[j].Count {
-			return hot[i].Count > hot[j].Count
-		}
-		a := gemm.Shape{M: hot[i].M, K: hot[i].K, N: hot[i].N}
-		b := gemm.Shape{M: hot[j].M, K: hot[j].K, N: hot[j].N}
-		return a.String() < b.String()
-	})
-	if top > 0 && len(hot) > top {
-		hot = hot[:top]
-	}
-	return hot, nil
-}
-
-// windowResponse is the GET /v1/window body: the backend's current window
-// occupancy and its hottest shapes.
-type windowResponse struct {
-	Device string     `json:"device"`
-	Size   int        `json:"window_size"`
-	Shapes []HotShape `json:"shapes"`
-}
-
-// handleWindow serves the backend's served-shape window summary
-// (?device= picks a backend, ?top= bounds the shape list; default 64).
-func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
-	be, err := s.backend(r.URL.Query().Get("device"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	top := 64
-	if v := r.URL.Query().Get("top"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad top %q", v)})
-			return
-		}
-		top = n
-	}
-	hot, err := s.HotShapes(be.name, top)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	size := 0
-	if be.window != nil {
-		size = be.window.size()
-	}
-	if hot == nil {
-		hot = []HotShape{}
-	}
-	writeJSON(w, http.StatusOK, windowResponse{Device: be.name, Size: size, Shapes: hot})
 }

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"net/http"
 	"strconv"
+	"strings"
 )
 
 // This file is the package's wire toolkit as seen by other tiers. The cluster
@@ -44,9 +46,11 @@ func AppendBatchJSON(b []byte, results []Decision) []byte { return appendBatch(b
 // encoded Decision body without unmarshalling it. It understands any
 // top-level object whose values are scalars — exactly what AppendDecisionJSON
 // and encoding/json produce for Decision — and reports ok=false for anything
-// it cannot fully account for (nested values, malformed syntax), so a caller
-// caching bodies by generation never mis-stamps one it did not understand.
-// Trailing whitespace (the Encode newline) is accepted.
+// it cannot fully account for (nested values, malformed syntax, a key that
+// encoding/json would match to generation or degraded only after unescaping
+// or case folding), so a caller caching bodies by generation never
+// mis-stamps one it did not understand. Trailing whitespace (the Encode
+// newline) is accepted.
 func ScanDecisionMeta(body []byte) (gen uint64, degraded bool, ok bool) {
 	i := skipSpace(body, 0)
 	if i >= len(body) || body[i] != '{' {
@@ -90,6 +94,9 @@ func ScanDecisionMeta(body []byte) (gen uint64, degraded bool, ok bool) {
 			default:
 				return 0, false, false
 			}
+		case bytes.IndexByte(key, '\\') >= 0 || bytes.EqualFold(key, []byte("generation")) ||
+			bytes.EqualFold(key, []byte("degraded")):
+			return 0, false, false
 		default:
 			j, vok := skipScalar(body, i)
 			if !vok {
@@ -111,25 +118,35 @@ func ScanDecisionMeta(body []byte) (gen uint64, degraded bool, ok bool) {
 	}
 }
 
-// scanMetaString scans a quoted string, tolerating escapes (it only needs the
-// raw bytes for key comparison; escaped keys simply won't match the two
-// fields ScanDecisionMeta cares about, which the encoder never escapes).
+// scanMetaString scans a quoted JSON string, escapes included, returning its
+// raw bytes between the quotes. Control characters and malformed escapes are
+// not JSON and report ok=false.
 func scanMetaString(b []byte, i int) (s []byte, next int, ok bool) {
 	if i >= len(b) || b[i] != '"' {
 		return nil, i, false
 	}
 	j := i + 1
 	for j < len(b) {
-		switch b[j] {
-		case '"':
+		switch c := b[j]; {
+		case c == '"':
 			return b[i+1 : j], j + 1, true
-		case '\\':
-			j += 2
-		default:
+		case c < 0x20:
+			return nil, i, false
+		case c != '\\':
 			j++
+		case j+1 < len(b) && strings.IndexByte(`"\\/bfnrt`, b[j+1]) >= 0:
+			j += 2
+		case j+5 < len(b) && b[j+1] == 'u' && isHex(b[j+2]) && isHex(b[j+3]) && isHex(b[j+4]) && isHex(b[j+5]):
+			j += 6
+		default:
+			return nil, i, false
 		}
 	}
 	return nil, i, false
+}
+
+func isHex(c byte) bool {
+	return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 }
 
 // skipScalar advances past one scalar JSON value: string, number, true,
@@ -143,16 +160,7 @@ func skipScalar(b []byte, i int) (next int, ok bool) {
 		_, j, sok := scanMetaString(b, i)
 		return j, sok
 	case c == '-' || (c >= '0' && c <= '9'):
-		j := i + 1
-		for j < len(b) {
-			c := b[j]
-			if (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-' {
-				j++
-				continue
-			}
-			break
-		}
-		return j, true
+		return skipNumber(b, i)
 	case hasPrefixAt(b, i, "true"):
 		return i + 4, true
 	case hasPrefixAt(b, i, "false"):
@@ -161,6 +169,48 @@ func skipScalar(b []byte, i int) (next int, ok bool) {
 		return i + 4, true
 	}
 	return i, false
+}
+
+// skipNumber advances past one JSON number:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+func skipNumber(b []byte, i int) (next int, ok bool) {
+	digits := func(j int) int {
+		for j < len(b) && b[j] >= '0' && b[j] <= '9' {
+			j++
+		}
+		return j
+	}
+	j := i
+	if j < len(b) && b[j] == '-' {
+		j++
+	}
+	switch {
+	case j < len(b) && b[j] == '0':
+		j++
+	case j < len(b) && b[j] >= '1' && b[j] <= '9':
+		j = digits(j + 1)
+	default:
+		return i, false
+	}
+	if j < len(b) && b[j] == '.' {
+		k := digits(j + 1)
+		if k == j+1 {
+			return i, false
+		}
+		j = k
+	}
+	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
+		j++
+		if j < len(b) && (b[j] == '+' || b[j] == '-') {
+			j++
+		}
+		k := digits(j)
+		if k == j {
+			return i, false
+		}
+		j = k
+	}
+	return j, true
 }
 
 func hasPrefixAt(b []byte, i int, s string) bool {

@@ -294,9 +294,9 @@ func TestReloadUnderLoad(t *testing.T) {
 
 // Overlapping POST /v1/reload requests must coalesce into one flight: the
 // source runs once, one generation is built, and every caller answers with
-// that same generation. Before single-flight, a reload storm (the cluster
-// router's peer-warm cutover, a misfiring deploy hook) raced to build N
-// generations and discarded N-1 of them, wiping the warm cache each time.
+// that same generation. Before single-flight, a reload storm (overlapping
+// operator calls, a misfiring deploy hook) raced to build N generations and
+// discarded N-1 of them, wiping the warm cache each time.
 func TestReloadSingleFlight(t *testing.T) {
 	model := sim.New(device.R9Nano())
 	libA := buildLib(t, model, 6)

@@ -612,7 +612,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/reload", s.instrument("reload", s.handleReload))
 	mux.HandleFunc("GET /v1/configs", s.instrument("configs", s.handleConfigs))
 	mux.HandleFunc("GET /v1/devices", s.instrument("devices", s.handleDevices))
-	mux.HandleFunc("GET /v1/window", s.instrument("window", s.handleWindow))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
@@ -935,8 +934,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	// Single-flight: overlapping reload requests for the same backend
 	// coalesce onto one leader. Without this, N concurrent POSTs race to
 	// build N generations, N−1 of which are displaced immediately — wasted
-	// pricing work plus a cache wipe per extra build. The router's peer-warm
-	// cutover (and any redundant deploy hook) makes this race routine.
+	// pricing work plus a cache wipe per extra build. Overlapping operator
+	// calls and redundant deploy hooks make this race routine.
 	call, leader := be.joinReload()
 	if leader {
 		func() {
