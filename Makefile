@@ -1,6 +1,6 @@
 # Developer entry points for the kernel-selection reproduction.
-# `make check` is the pre-commit gate: build, vet, tests, the race detector
-# over every package, a fuzz smoke run, and the coverage floor.
+# `make check` is the pre-commit gate: build, formatting, vet, tests, the race
+# detector over every package, a fuzz smoke run, and the coverage floor.
 
 GO ?= go
 
@@ -15,10 +15,15 @@ COVER_FLOOR ?= 70
 # Seeds for the chaos sweep (`make chaos`); each seed is one fault schedule.
 CHAOS_SEEDS ?= 12
 
-.PHONY: build test race race-serve race-retrain race-unified race-cluster vet bench bench-price bench-router bench-serve bench-serve-check saturation scaleout fuzz fuzz-smoke cover chaos chaos-cluster check
+.PHONY: build fmt test race race-serve race-retrain race-unified race-cluster vet bench bench-price bench-router bench-serve bench-serve-check saturation scaleout fuzz fuzz-smoke cover chaos chaos-cluster check
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails, listing the files, when gofmt would rewrite any.
+fmt:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then echo "gofmt -l: these files need gofmt:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -111,19 +116,20 @@ bench-router:
 	fi; \
 	echo "bench-router: cache hit $$new ns/op (0 allocs) within $(ROUTER_TOLERANCE)x of $$base ns/op"
 
-# Serving-path latency baseline: drive a warmed in-process two-device server
-# with the load generator and write the quantile/degradation report to
-# BENCH_serve.json for cross-change comparison.
+# Serving-path latency baseline: drive an in-process two-device server whose
+# cache the load generator primes first (-warm sends every device x shape of
+# the mix once) and write the quantile/degradation report to BENCH_serve.json
+# for cross-change comparison.
 bench-serve:
 	$(GO) run ./cmd/selectload -inprocess -warm -qps 500 -duration 10s -workers 32 -json BENCH_serve.json
 
 # Regression gate against the committed baseline, two tripwires:
-#   1. a short warmed run must hold the achieved rate and stay within
-#      tolerance of the stored p99s. The warmed baseline p99 is a few
+#   1. a short primed run must hold the achieved rate and stay within
+#      tolerance of the stored p99s. The primed baseline p99 is a few
 #      hundred microseconds, where shared-box scheduler jitter swings the
 #      quantile by an order of magnitude, so an absolute -p99-slack carries
 #      the comparison; bench-serve is the precise measurement.
-#   2. a coarse ramp on the warmed stress server must keep the saturation
+#   2. a coarse ramp on the primed stress server must keep the saturation
 #      knee at or above 7000 QPS. The ramp starts well below the floor so a
 #      capacity regression surfaces as a knee below it rather than a
 #      vacuous first-step knee; -knee-qps 0.9 absorbs scheduler noise.
@@ -148,14 +154,14 @@ bench-serve-check:
 		-scaleout-kill 0 -scaleout-gate 2.5 -p99-slack 50ms \
 		-scaleout-warmed-qps 1600 -scaleout-warmed-gate 1570 -scaleout-warmed-p99 1ms
 
-# Saturation sweep (Figure 6): ramp the offered rate on the warmed stress
-# server (-stress: tight admission budget, measured 2ms pricing; -warm:
-# generation cache pre-priced over the dataset shape universe) until it
-# saturates, then rerun the low end against the same server with the cache
-# disabled for the cold-start bound. The steady-state panels and the
-# cold-start achieved-vs-offered panel land in one stacked figure. Without
-# -warm the cache still fills on first touch; the warm pass just moves that
-# cost off the serving path, which is exactly the gap the figure shows.
+# Saturation sweep (Figure 6): ramp the offered rate on the primed stress
+# server (-stress: tight admission budget, a modeled 2ms-per-config pricer
+# standing in for an expensive miss; -warm: the client sends every
+# device x shape of the mix once first, so the decision cache holds them all)
+# until it saturates, then rerun the low end against a cacheless server for
+# the cold-start bound. The steady-state panels and the cold-start
+# achieved-vs-offered panel land in one stacked figure; the gap between the
+# two knees is what the decision cache buys.
 saturation:
 	$(GO) run ./cmd/selectload -inprocess -stress -warm -ramp -ramp-start 1000 -ramp-step 1000 \
 		-ramp-max 10000 -step-duration 3s -workers 64 \
@@ -194,15 +200,17 @@ chaos-cluster:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -run '^TestChaosCluster$$' ./internal/cluster
 
 # Fuzz the decoders of untrusted bytes: the artifact loaders (persisted
-# libraries and selectors), and, differentially against encoding/json, the
-# two wire scanners the router trusts (client select bodies, replica decision
-# metadata). Go allows one -fuzz pattern per invocation, so each target gets
+# libraries and selectors), differentially against encoding/json the two
+# wire scanners the router trusts (client select bodies, replica decision
+# metadata), and the router's Retry-After parser against math/big and
+# net/http. Go allows one -fuzz pattern per invocation, so each target gets
 # its own run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadLibrary$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSelector$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSelectWire$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzScanDecisionMeta$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime $(FUZZTIME) ./internal/cluster
 
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=$(SMOKE_FUZZTIME)
@@ -217,4 +225,4 @@ cover:
 		echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; \
 	fi
 
-check: build vet test race-serve race-retrain race-unified race-cluster chaos chaos-cluster bench-price bench-router bench-serve-check race fuzz-smoke cover
+check: build fmt vet test race-serve race-retrain race-unified race-cluster chaos chaos-cluster bench-price bench-router bench-serve-check race fuzz-smoke cover

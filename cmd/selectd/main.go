@@ -56,11 +56,13 @@
 // SIGINT/SIGTERM starts a graceful drain: healthz flips to 503, in-flight
 // requests finish (up to -drain-timeout), then the listener closes.
 //
-// Warming (-warm, on by default): every generation swap — startup and each
-// reload — background-prices the full dataset shape universe into the new
-// decision cache, so steady-state traffic never pays a cold miss after a
-// deploy. /healthz and /v1/reload report per-backend warm progress, and
-// /metrics exposes selectd_warm_shapes_total / selectd_warm_complete.
+// Misses: a shape the serving generation's decision cache has not answered
+// takes one path on first touch — breaker and deadline check, the compiled
+// selector, one pricing pass over the library's ~8 configurations, cache
+// put. Nothing warms the cache ahead of traffic and concurrent misses are not
+// coalesced: a miss costs microseconds beside the HTTP round trip. A client
+// that wants a hot cache before measuring sends its shapes once
+// (selectload -warm).
 //
 // Closed loop (-regret-sample, -retrain): a sampled fraction of live
 // decisions is re-priced off the request path against the full configuration
@@ -126,7 +128,6 @@ func main() {
 	savePath := flag.String("save", "", "write the default device's library artifact to this path and continue")
 
 	cacheSize := flag.Int("cache", 4096, "decision-cache capacity per device (0 disables)")
-	cacheShards := flag.Int("cache-shards", 16, "decision-cache shards")
 	maxInFlight := flag.Int("max-inflight", 256, "total admission budget, split evenly across device backends")
 	budgetsFlag := flag.String("budgets", "", "per-device budget overrides, e.g. r9nano=64,gen9=16")
 	shedLatency := flag.Duration("shed-latency", 0, "shed 429 when a backend's latency EWMA exceeds this (0 disables)")
@@ -136,7 +137,6 @@ func main() {
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request deadline")
 	workers := flag.Int("workers", 0, "pricing workers per batch request (0 = GOMAXPROCS)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain window")
-	warm := flag.Bool("warm", true, "speculatively warm each new generation's decision cache with the dataset shape universe")
 	regretSample := flag.Float64("regret-sample", 0, "fraction of live decisions re-priced off-path for regret telemetry (0 disables)")
 	windowSize := flag.Int("window", 4096, "served-shape sliding window per device for drift scoring and fallback learning (negative disables)")
 	driftThreshold := flag.Float64("drift-threshold", 0.25, "PSI drift score above which a shadow retrain fires")
@@ -256,7 +256,6 @@ func main() {
 
 	srv, err := serve.NewMulti(backends, serve.Options{
 		CacheSize:        cacheCapacity(*cacheSize),
-		CacheShards:      *cacheShards,
 		MaxInFlight:      *maxInFlight,
 		Budgets:          budgets,
 		ShedLatency:      *shedLatency,
@@ -265,7 +264,6 @@ func main() {
 		MaxBatch:         *maxBatch,
 		RequestTimeout:   *timeout,
 		Workers:          *workers,
-		Warm:             *warm,
 		RegretSample:     *regretSample,
 		WindowSize:       *windowSize,
 		DriftThreshold:   *driftThreshold,

@@ -31,11 +31,13 @@
 // (shed+degraded past -knee-shed, or achieved QPS falling under -knee-qps of
 // offered), reports the knee, and renders the latency/shed trade-off figure.
 //
-// -warm enables speculative cache warming on the -inprocess server and waits
-// for every backend to report warm_complete before offering load, so the
-// ramp measures the steady state a production reload converges to. With
-// -cold-ramp-max > 0 a second, cacheless server is swept separately as the
-// permanent cold-start bound, and the JSON report splits into
+// -warm primes the server's decision cache before offering load: the client
+// sends every (device, shape) the run can draw once, retrying each until it
+// answers full quality, so the run measures the steady state a deployment
+// converges to once its shapes have been seen. It works against -url and
+// -inprocess alike (the daemon itself never warms). With -cold-ramp-max > 0
+// a second, cacheless server is swept separately as the permanent
+// cold-start bound, and the JSON report splits into
 // {"steady_state": ..., "cold_start": ...}. -require-knee N turns the run
 // into a CI gate: it fails when the steady-state knee lands below N QPS (or,
 // when no knee is found, when the ramp could not sustain 95% of N).
@@ -153,7 +155,7 @@ func main() {
 	regretSample := flag.Float64("regret-sample", 0, "closed-loop regret sampling fraction on the -inprocess server (0 disables)")
 	maxRegret := flag.Float64("max-regret", 0, "fail when any device's mean sampled regret exceeds this (0 = no gate)")
 	stress := flag.Bool("stress", false, "build the -inprocess server miss-heavy (no decision cache, tight admission budget, shed threshold) so ramps hit the resilience path")
-	warm := flag.Bool("warm", false, "enable speculative cache warming on the -inprocess server and wait for warm completion before offering load")
+	warm := flag.Bool("warm", false, "prime the server's decision cache with every (device, shape) the run can draw before offering load")
 	baseline := flag.String("baseline", "", "compare against a stored report; exit non-zero on regression")
 	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional regression vs -baseline (QPS and p99)")
 	p99Slack := flag.Duration("p99-slack", 0, "absolute grace on the -baseline p99 comparison: a rise fails only past both the tolerance ceiling and baseline+slack")
@@ -226,9 +228,6 @@ func main() {
 		return
 	}
 
-	if *warm && !*inprocess {
-		log.Fatal("-warm requires -inprocess (a remote daemon warms itself)")
-	}
 	if *regretSample > 0 && !*inprocess {
 		log.Fatal("-regret-sample requires -inprocess (a remote daemon samples via its own -regret-sample flag)")
 	}
@@ -242,12 +241,13 @@ func main() {
 		if len(cfg.devices) == 0 {
 			cfg.devices = names
 		}
-		if *warm {
-			if err := waitWarm(cfg.url, time.Minute); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("server warm: all backends report warm_complete")
+	}
+	if *warm {
+		shapes := cfg.mix()
+		if err := warmFastPath(cfg.url, cfg.devices, shapes); err != nil {
+			log.Fatal(err)
 		}
+		log.Printf("cache primed: %d shapes on %d device route(s)", len(shapes), max(len(cfg.devices), 1))
 	}
 
 	if *ramp {
@@ -266,7 +266,7 @@ func main() {
 
 		// The optional cold-start sweep runs against its own cacheless
 		// server: every request takes the full pricing path, bounding what a
-		// deploy would see if warming never completed.
+		// deploy sees for shapes its cache has not yet answered.
 		var cold *rampReport
 		if *coldMax > 0 {
 			if !*inprocess {
@@ -363,18 +363,18 @@ func writeJSONFile(path string, v any) {
 // inprocessServer builds a two-device serving stack (R9 Nano + Gen9, each
 // trained in-process over the dataset shape mix) behind httptest, for
 // self-contained serving-path benchmarks. In stress mode admission/shed
-// limits are tightened and pricing is given a modeled on-device measurement
-// cost; without warm the decision cache is also disabled, so every request
-// takes the full pricing path and a ramp finds the knee where the resilience
-// machinery (degraded fallbacks, 429 shedding) engages instead of measuring
-// how fast cache hits come back. With warm the cache stays on and every
-// generation speculatively prices the full dataset shape universe before
-// traffic arrives — the steady state a production deploy converges to, where
-// the knee reflects the cache-hit path's capacity rather than the pricing
-// path's. regretSample > 0 turns on the closed loop: that fraction of
-// decisions is re-priced off-path against the server's own config slice and
-// exported as selectd_regret, and a fast maintenance loop keeps the drift
-// gauge live so the post-run scrape has settled numbers to report.
+// limits are tightened and pricing is given a modeled expensive-miss cost
+// (measuredPricer); without warm the decision cache is also disabled, so
+// every request takes the full pricing path and a ramp finds the knee where
+// the resilience machinery (degraded fallbacks, 429 shedding) engages
+// instead of measuring how fast cache hits come back. With warm the cache
+// stays on for the client to prime before offering load — the steady state
+// a deployment converges to, where the knee reflects the cache-hit path's
+// capacity rather than the pricing path's. regretSample > 0 turns on the
+// closed loop: that fraction of decisions is re-priced off-path against the
+// server's own config slice and exported as selectd_regret, and a fast
+// maintenance loop keeps the drift gauge live so the post-run scrape has
+// settled numbers to report.
 func inprocessServer(stress, warm bool, regretSample float64) (*httptest.Server, []string, error) {
 	allShapes, _ := workload.DatasetShapes()
 	configs := gemm.AllConfigs()[:160]
@@ -404,10 +404,6 @@ func inprocessServer(stress, warm bool, regretSample float64) (*httptest.Server,
 		names = append(names, spec.Name)
 	}
 	opts := serve.Options{}
-	if warm {
-		opts.Warm = true
-		opts.WarmShapes = allShapes
-	}
 	if regretSample > 0 {
 		opts.RegretSample = regretSample
 		opts.RegretUniverse = configs
@@ -433,45 +429,13 @@ func inprocessServer(stress, warm bool, regretSample float64) (*httptest.Server,
 	return httptest.NewServer(srv.Handler()), names, nil
 }
 
-// waitWarm polls /healthz until every backend reports warm_complete, so the
-// load that follows measures the warmed steady state, not the warm pass.
-func waitWarm(url string, timeout time.Duration) error {
-	type hzBackend struct {
-		Device       string `json:"device"`
-		WarmComplete bool   `json:"warm_complete"`
-	}
-	type hzResponse struct {
-		Backends []hzBackend `json:"backends"`
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		warm := false
-		if resp, err := http.Get(url + "/healthz"); err == nil {
-			var h hzResponse
-			if json.NewDecoder(resp.Body).Decode(&h) == nil && len(h.Backends) > 0 {
-				warm = true
-				for _, b := range h.Backends {
-					if !b.WarmComplete {
-						warm = false
-					}
-				}
-			}
-			resp.Body.Close()
-		}
-		if warm {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("server not warm after %s", timeout)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// measuredPricer models on-device measurement cost on top of the analytical
-// model: each (config, shape) price takes a fixed wall-clock cost, the way
-// pricing by running the candidate kernel would. Stress-mode ramps use it so
-// saturation reflects the pricing path's economics, not simulator speed.
+// measuredPricer models an expensive miss on top of the analytical model:
+// each (config, shape) price takes a fixed wall-clock cost, the way pricing
+// by running the candidate kernel on the device would. It exists only for
+// the stress-mode ramps (Figure 6) and the scale-out sweep (Figure 7), so
+// saturation reflects a costly pricing path rather than simulator speed;
+// selectd itself always prices analytically, and on-device measurement is
+// not a serving mode.
 type measuredPricer struct {
 	m    *sim.Model
 	cost time.Duration
@@ -488,15 +452,9 @@ func (p measuredPricer) PriceGFLOPS(ctx context.Context, cfg gemm.Config, s gemm
 	return p.m.GFLOPS(cfg, s), nil
 }
 
-// run drives the load and aggregates the report. It is the testable core:
-// main only parses flags and prints.
-func run(cfg config) (report, error) {
-	if cfg.qps < 1 {
-		return report{}, fmt.Errorf("qps %d must be >= 1", cfg.qps)
-	}
-	if cfg.workers < 1 {
-		cfg.workers = 1
-	}
+// mix is the shape set a run draws from: the dataset mix, or with shift the
+// transformer mix, cut to the first cfg.shapes shapes when that is set.
+func (cfg config) mix() []gemm.Shape {
 	shapes, _ := workload.DatasetShapes()
 	if cfg.shift {
 		// The transformer mix is disjoint from the dataset mix the served
@@ -508,6 +466,19 @@ func run(cfg config) (report, error) {
 	if cfg.shapes > 0 && cfg.shapes < len(shapes) {
 		shapes = shapes[:cfg.shapes]
 	}
+	return shapes
+}
+
+// run drives the load and aggregates the report. It is the testable core:
+// main only parses flags and prints.
+func run(cfg config) (report, error) {
+	if cfg.qps < 1 {
+		return report{}, fmt.Errorf("qps %d must be >= 1", cfg.qps)
+	}
+	if cfg.workers < 1 {
+		cfg.workers = 1
+	}
+	shapes := cfg.mix()
 	total := int(float64(cfg.qps) * cfg.duration.Seconds())
 	if total < 1 {
 		total = 1
@@ -800,9 +771,9 @@ type rampReport struct {
 	Seed         uint64     `json:"seed"`
 }
 
-// sweepReport pairs the steady-state ramp (warmed cache) with the cold-start
+// sweepReport pairs the steady-state ramp (primed cache) with the cold-start
 // bound (cacheless server, every request on the pricing path). The gap
-// between the two knees is what speculative warming buys.
+// between the two knees is what the decision cache buys.
 type sweepReport struct {
 	SteadyState *rampReport `json:"steady_state"`
 	ColdStart   *rampReport `json:"cold_start,omitempty"`

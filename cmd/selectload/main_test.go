@@ -270,17 +270,14 @@ func TestGateKnee(t *testing.T) {
 	}
 }
 
-// With -warm the in-process server reports warm_complete before load starts,
-// and the warmed cache answers the whole dataset mix as hits.
+// With -warm the client primes every (device, shape) of the mix before load
+// starts, and the primed cache answers the whole dataset mix as hits.
 func TestWarmInprocessRun(t *testing.T) {
 	ts, names, err := inprocessServer(false, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ts.Close()
-	if err := waitWarm(ts.URL, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
 	cfg := config{
 		url:      ts.URL,
 		qps:      400,
@@ -288,6 +285,9 @@ func TestWarmInprocessRun(t *testing.T) {
 		devices:  names,
 		seed:     7,
 		workers:  8,
+	}
+	if err := warmFastPath(cfg.url, cfg.devices, cfg.mix()); err != nil {
+		t.Fatal(err)
 	}
 	rep, err := run(cfg)
 	if err != nil {
@@ -298,10 +298,10 @@ func TestWarmInprocessRun(t *testing.T) {
 			t.Errorf("%s: %d errors", d.Device, d.Errors)
 		}
 		if d.CacheHitRate < 0.999 {
-			t.Errorf("%s: cache hit rate %.3f after warm completion, want ~1.0", d.Device, d.CacheHitRate)
+			t.Errorf("%s: cache hit rate %.3f after priming, want ~1.0", d.Device, d.CacheHitRate)
 		}
 		if d.DegradedRate != 0 || d.ShedRate != 0 {
-			t.Errorf("%s: degraded %.3f shed %.3f on a warmed server", d.Device, d.DegradedRate, d.ShedRate)
+			t.Errorf("%s: degraded %.3f shed %.3f on a primed server", d.Device, d.DegradedRate, d.ShedRate)
 		}
 	}
 }

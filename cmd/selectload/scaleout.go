@@ -474,7 +474,7 @@ func runWarmedPhase(sc scaleoutConfig) (*warmedReport, error) {
 	defer f.Close()
 
 	shapes, _ := workload.DatasetShapes()
-	if err := warmFastPath(f.rts.URL, shapes); err != nil {
+	if err := warmFastPath(f.rts.URL, nil, shapes); err != nil {
 		return nil, err
 	}
 	wr := &warmedReport{Replicas: sc.replicas, WarmedShapes: len(shapes)}
@@ -524,15 +524,27 @@ func runWarmedPhase(sc scaleoutConfig) (*warmedReport, error) {
 	return wr, nil
 }
 
-// warmFastPath requests every shape through the router until it answers full
-// quality. Degraded answers are never edge-cached, so a warm pass that
-// tolerated them would leave cold entries behind and the measured phase would
-// mix pricing misses into the hit-path numbers.
-func warmFastPath(url string, shapes []gemm.Shape) error {
+// warmFastPath primes a server's caches from the client side: it requests
+// every shape on every device route (none means the default route) until
+// each answers full quality. Degraded answers are never cached, so a warm
+// pass that tolerated them would leave cold entries behind and the measured
+// run would mix pricing misses into the hit-path numbers. It serves the
+// scale-out sweep's router edge cache and selectload -warm's replica cache
+// alike.
+func warmFastPath(url string, devices []string, shapes []gemm.Shape) error {
+	if len(devices) == 0 {
+		devices = []string{""}
+	}
+	type job struct {
+		device string
+		shape  gemm.Shape
+	}
 	client := &http.Client{Timeout: 30 * time.Second}
-	jobs := make(chan gemm.Shape, len(shapes))
-	for _, s := range shapes {
-		jobs <- s
+	jobs := make(chan job, len(devices)*len(shapes))
+	for _, d := range devices {
+		for _, s := range shapes {
+			jobs <- job{d, s}
+		}
 	}
 	close(jobs)
 	var wg sync.WaitGroup
@@ -542,8 +554,8 @@ func warmFastPath(url string, shapes []gemm.Shape) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for s := range jobs {
-				if err := warmShape(client, url, s); err != nil {
+			for j := range jobs {
+				if err := warmShape(client, url, j.device, j.shape); err != nil {
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -558,8 +570,8 @@ func warmFastPath(url string, shapes []gemm.Shape) error {
 	return firstErr
 }
 
-func warmShape(client *http.Client, url string, s gemm.Shape) error {
-	raw, _ := json.Marshal(map[string]any{"m": s.M, "k": s.K, "n": s.N, "device": ""})
+func warmShape(client *http.Client, url, device string, s gemm.Shape) error {
+	raw, _ := json.Marshal(map[string]any{"m": s.M, "k": s.K, "n": s.N, "device": device})
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		resp, err := client.Post(url+"/v1/select", "application/json", bytes.NewReader(raw))

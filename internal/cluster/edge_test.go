@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"sync"
 	"testing"
 
 	"kernelselect/internal/core"
@@ -184,4 +185,29 @@ func TestEdgeDegradedNeverCached(t *testing.T) {
 			t.Errorf("replica won %d requests, want 2 (no request may be served from cache)", wins)
 		}
 	})
+}
+
+// Two misses on one shape both fill the edge cache, and the second put
+// rewrites the cached entry in place while hits read it. Under -race (make
+// race-cluster) this fails if a hit reads the entry after the shard lock
+// is released.
+func TestEdgeRefillRacesHit(t *testing.T) {
+	c := newEdgeCache(64, 1, newRouterMetrics([]string{replicaName(0)}))
+	shape := fleetShapes[0]
+	bodies := [][]byte{[]byte("{\"generation\":1}\n"), []byte("{\"generation\":1} \n")}
+	c.put("", shape, 0, 1, bodies[0])
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 2000; i++ {
+			c.put("", shape, 0, 1, bodies[i%2])
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		if b := c.get(nil, shape); !bytes.Equal(b, bodies[0]) && !bytes.Equal(b, bodies[1]) {
+			t.Fatalf("hit %d returned %q", i, b)
+		}
+	}
+	wg.Wait()
 }

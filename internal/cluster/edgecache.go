@@ -127,9 +127,12 @@ func (c *edgeCache) get(device []byte, shape gemm.Shape) []byte {
 		return nil
 	}
 	sh.lru.MoveToFront(el)
+	// Read the body under the lock: a concurrent put of the same shape
+	// rewrites the entry in place.
+	body := e.body
 	sh.mu.Unlock()
 	c.metrics.edgeHits.Add(1)
-	return e.body
+	return body
 }
 
 // deviceFor returns (creating on first use) the channel for one

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -295,17 +296,24 @@ func (r *Replica) Reload(ctx context.Context, device string) (reloadWire, error)
 	return rr, nil
 }
 
-// parseRetryAfter interprets one Retry-After header value. RFC 7231 allows
-// both delta-seconds and an HTTP-date; dates are measured against now.
-// Non-positive delays, the past, and garbage report ok=false.
+// parseRetryAfter interprets one Retry-After header value. RFC 9110 §10.2.3
+// allows delay-seconds (1*DIGIT: no sign, no fraction) and an HTTP-date;
+// dates are measured against now. A delay too long for a Duration saturates
+// at the largest one instead of wrapping into the past. Zero delays, the
+// past, and garbage report ok=false.
 func parseRetryAfter(v string, now time.Time) (time.Duration, bool) {
-	v = strings.TrimSpace(v)
+	v = strings.Trim(v, " \t")
 	if v == "" {
 		return 0, false
 	}
-	if secs, err := strconv.Atoi(v); err == nil {
-		if secs <= 0 {
+	if strings.Trim(v, "0123456789") == "" {
+		// All digits, so only overflow can fail, and it returns MaxInt64.
+		secs, _ := strconv.ParseInt(v, 10, 64)
+		if secs == 0 {
 			return 0, false
+		}
+		if secs > math.MaxInt64/int64(time.Second) {
+			return math.MaxInt64, true
 		}
 		return time.Duration(secs) * time.Second, true
 	}

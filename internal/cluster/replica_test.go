@@ -2,16 +2,21 @@ package cluster
 
 import (
 	"encoding/json"
+	"math"
+	"math/big"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
 	"kernelselect/internal/gemm"
 )
 
-// TestParseRetryAfter pins RFC 7231 Retry-After semantics: both delta-seconds
+// TestParseRetryAfter pins RFC 9110 Retry-After semantics: both delay-seconds
 // and HTTP-date forms parse, measured against a fixed clock; zero, the past,
-// and garbage are rejected so the router falls back to its default backoff.
+// signs and garbage are rejected so the router falls back to its default
+// backoff, and a delay too long for a Duration saturates instead of wrapping
+// into the past.
 func TestParseRetryAfter(t *testing.T) {
 	now := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
 	cases := []struct {
@@ -37,6 +42,17 @@ func TestParseRetryAfter(t *testing.T) {
 		{"trailing-junk", "5 seconds", 0, false},
 		{"mixed-digits", "5x", 0, false},
 		{"float", "2.5", 0, false},
+		{"delta-plus-sign", "+5", 0, false},
+		{"delta-minus-zero", "-0", 0, false},
+		{"delta-leading-zeros", "007", 7 * time.Second, true},
+		{"delta-all-zeros", "000", 0, false},
+		{"delta-tabs", "\t5\t", 5 * time.Second, true},
+		{"delta-largest-exact", "9223372036", 9223372036 * time.Second, true},
+		{"delta-saturates", "9223372037", math.MaxInt64, true},
+		{"delta-wraps-at-parse", "10000000000", math.MaxInt64, true},
+		{"delta-past-int64", "99999999999999999999", math.MaxInt64, true},
+		{"delta-long-then-junk", "99999999999999999999x", 0, false},
+		{"delta-fullwidth-digit", "\uff15", 0, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -68,6 +84,57 @@ func TestRetryAfterOrDefault(t *testing.T) {
 	if got := retryAfterOrDefault(h, def); got != def {
 		t.Errorf("garbage header: %v, want default %v", got, def)
 	}
+}
+
+// FuzzParseRetryAfter checks parseRetryAfter's contract on arbitrary header
+// values, against math/big and net/http rather than its own arithmetic:
+//   - an accepted delay is positive;
+//   - an all-digit value (after trimming spaces and tabs) parses to its
+//     seconds, saturating at the largest Duration;
+//   - any other value is accepted only as an HTTP-date, at exactly its
+//     distance from now.
+func FuzzParseRetryAfter(f *testing.F) {
+	now := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
+	for _, v := range []string{
+		"5", "  12  ", "0", "-3", "+5", "007", "2.5", "soon", "",
+		"9223372036", "9223372037", "10000000000", "99999999999999999999",
+		now.Add(30 * time.Second).Format(http.TimeFormat),
+		now.Add(45 * time.Second).Format(time.RFC850),
+		now.Add(20 * time.Second).Format(time.ANSIC),
+		now.Add(-time.Minute).Format(http.TimeFormat),
+	} {
+		f.Add(v)
+	}
+	maxDur := new(big.Int).SetInt64(math.MaxInt64)
+	f.Fuzz(func(t *testing.T, v string) {
+		d, ok := parseRetryAfter(v, now)
+		if ok && d <= 0 {
+			t.Fatalf("parseRetryAfter(%q) = %v accepted a non-positive delay", v, d)
+		}
+		trimmed := strings.Trim(v, " \t")
+		if trimmed != "" && strings.Trim(trimmed, "0123456789") == "" {
+			secs, _ := new(big.Int).SetString(trimmed, 10)
+			ns := new(big.Int).Mul(secs, big.NewInt(int64(time.Second)))
+			if ns.Cmp(maxDur) > 0 {
+				ns = maxDur
+			}
+			want, wantOK := time.Duration(ns.Int64()), secs.Sign() > 0
+			if d != want || ok != wantOK {
+				t.Fatalf("parseRetryAfter(%q) = (%v, %v), want (%v, %v)", v, d, ok, want, wantOK)
+			}
+			return
+		}
+		if !ok {
+			return
+		}
+		at, err := http.ParseTime(trimmed)
+		if err != nil {
+			t.Fatalf("parseRetryAfter(%q) accepted %v, but the value is neither delay-seconds nor an HTTP-date", v, d)
+		}
+		if want := at.Sub(now); d != want {
+			t.Fatalf("parseRetryAfter(%q) = %v, want the date's distance %v", v, d, want)
+		}
+	})
 }
 
 // The pooled append-encoders must stay byte-identical to encoding/json — the

@@ -732,8 +732,8 @@ func (r *Router) handleReload(w http.ResponseWriter, req *http.Request) {
 
 // reloadReplica rolls one replica onto a fresh generation: the replica leaves
 // rotation (state warming, so its shards re-hash to successors), reloads, has
-// its edge-cache generation register advanced, and cuts back in. The replica
-// warms its own decision cache for the new generation.
+// its edge-cache generation register advanced, and cuts back in. The new
+// generation's decision cache starts empty and fills on first touch.
 func (r *Router) reloadReplica(ctx context.Context, idx int, device string) reloadSummary {
 	rep := r.replicas[idx]
 	sum := reloadSummary{Replica: rep.Name, Device: device}

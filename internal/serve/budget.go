@@ -27,10 +27,6 @@ type backend struct {
 	shed     atomic.Uint64
 	degraded [numReasons]atomic.Uint64
 
-	// coalesced counts cache-miss requests that rode another request's
-	// pricing pass instead of running their own (single-flight followers).
-	coalesced atomic.Uint64
-
 	// latencyEWMA tracks full-service request latency (float64 nanosecond
 	// bits); the load-aware shed threshold compares against it.
 	// computeEWMA tracks only cache-miss pricing passes: the estimate for
@@ -66,11 +62,10 @@ type backend struct {
 
 	// Cumulative bases for counters that otherwise reset with each
 	// generation: Reload folds the displaced generation's cache hit/miss
-	// counts into the bases and the warm pass counts shapes here directly,
-	// so the rendered Prometheus counters stay monotonic across swaps.
+	// counts into the bases, so the rendered Prometheus counters stay
+	// monotonic across swaps.
 	cacheHitsBase   atomic.Uint64
 	cacheMissesBase atomic.Uint64
-	warmedTotal     atomic.Uint64
 
 	// reloadCall coalesces concurrent POST /v1/reload requests for this
 	// backend: overlapping requests ride the leader's source read + swap and

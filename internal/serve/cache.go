@@ -34,9 +34,13 @@ type cacheEntry struct {
 	dec Decision
 }
 
+// cacheShards is the shard count every generation's cache is built with.
+const cacheShards = 16
+
 // newDecisionCache builds a cache of roughly `capacity` total entries spread
 // over `shards` shards (both floored to sane minimums; shards is rounded up
-// to a power of two). A capacity <= 0 returns nil — the no-cache mode.
+// to a power of two, and a cache smaller than its shard count gets one
+// shard). A capacity <= 0 returns nil — the no-cache mode.
 func newDecisionCache(capacity, shards int) *decisionCache {
 	if capacity <= 0 {
 		return nil

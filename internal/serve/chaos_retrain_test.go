@@ -125,7 +125,6 @@ func chaosRetrainRun(t *testing.T, seed uint64) {
 		BreakerThreshold: 4,
 		BreakerCooldown:  5 * time.Millisecond,
 		RequestTimeout:   2 * time.Second,
-		Warm:             true,
 		RegretSample:     0.5,
 		RegretUniverse:   universe,
 		WindowSize:       256,

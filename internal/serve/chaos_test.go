@@ -99,10 +99,6 @@ func chaosRun(t *testing.T, seed uint64) {
 		BreakerThreshold: 4,
 		BreakerCooldown:  5 * time.Millisecond,
 		RequestTimeout:   2 * time.Second,
-		// Warm passes race the reload storm below: every swap cancels the
-		// displaced generation's pass mid-flight, and the end-of-run cache
-		// audit proves no stale-generation or degraded entry survives.
-		Warm: true,
 	})
 	if err != nil {
 		t.Fatal(err)

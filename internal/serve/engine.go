@@ -24,8 +24,8 @@ type Engine interface {
 }
 
 // Decide implements Engine over the server's full serving ladder. It is the
-// extraction point the HTTP handlers are built on: handleSelect's fast path
-// duplicates the cache probe for its zero-allocation encoding, but every
+// extraction point the HTTP handlers are built on: handleSelect runs the same
+// probe and miss path with its own zero-allocation encoding, and every
 // semantic branch — hit bypasses admission, budget exhaustion degrades,
 // aborted decisions are not cached — is the same here, so a transport layered
 // over Decide serves exactly what the HTTP surface serves.
@@ -41,20 +41,15 @@ func (s *Server) Decide(ctx context.Context, device string, shape gemm.Shape) (D
 	// HTTP fast path: even a saturated backend keeps answering its
 	// steady-state shapes at full quality.
 	gen := be.gen.Load()
-	if d, ok := gen.cache.get(shape); ok {
-		d.Cached = true
-		s.account(be, gen, shape, &d)
+	if d, ok := s.hit(be, gen, shape); ok {
 		return d, nil
 	}
 	release, ok := be.acquire()
 	if !ok {
-		gen = be.gen.Load()
-		d := s.degradedDecision(be, gen, shape, reasonBudget)
-		s.account(be, gen, shape, &d)
-		return d, nil
+		return s.degradedDecision(be, gen, shape, reasonBudget), nil
 	}
 	defer release()
 	be.inflight.Add(1)
 	defer be.inflight.Add(-1)
-	return s.decide(ctx, be, shape)
+	return s.miss(ctx, be, gen, shape)
 }

@@ -60,11 +60,6 @@ type generation struct {
 	choose   func(gemm.Shape) int
 	compiled bool
 
-	// flight coalesces concurrent cache misses per shape; scoping it to the
-	// generation means followers can only ever receive decisions priced by
-	// this epoch's library.
-	flight flightGroup
-
 	// batch is the vectorized pricing pass over the library's configuration
 	// list, non-nil only when pricing goes through the analytical model
 	// (modelPricer). Custom pricers — fault injection, measured pricing —
@@ -88,16 +83,6 @@ type generation struct {
 	// generation's selectd_info metric line, likewise static per epoch.
 	configsJSON []byte
 	infoLine    string
-
-	// Speculative warming state (see warm.go). warmTotal is the number of
-	// shapes the warm pass will price; warmed counts shapes cached so far;
-	// warmDone latches once every warm shape is cached. warmStop cancels the
-	// pass — Reload calls it on the displaced generation so at most one warm
-	// pass runs per backend.
-	warmTotal int
-	warmed    atomic.Uint64
-	warmDone  atomic.Bool
-	warmStop  context.CancelFunc
 }
 
 // newGeneration allocates the next epoch for a device. The fallback decision,
@@ -113,7 +98,7 @@ func (s *Server) newGeneration(device string, lib *core.Library, model *sim.Mode
 		lib:    lib,
 		model:  model,
 		pricer: pricer,
-		cache:  newDecisionCache(s.opts.CacheSize, s.opts.CacheShards),
+		cache:  newDecisionCache(s.opts.CacheSize, cacheShards),
 	}
 	g.fb.Store(&fb)
 	if _, ok := pricer.(modelPricer); ok {
@@ -370,14 +355,7 @@ func (s *Server) Reload(device string, lib *core.Library, model *sim.Model) (uin
 		pricer = modelPricer{model}
 	}
 	gen := s.newGeneration(be.name, lib, model, pricer)
-	// Warm before publishing (so no request observes uninitialised warm
-	// bookkeeping), then cancel the displaced generation's pass after the
-	// swap: at most one warm pass runs per backend, and a reload landing
-	// mid-warm abandons the old cache the same instant it becomes
-	// unreachable.
-	s.startWarm(be, gen)
 	be.gen.Store(gen)
-	cur.stopWarm()
 	// Fold the displaced generation's cache counters into the backend's
 	// cumulative bases so selectd_cache_{hits,misses}_total stay monotonic
 	// across the swap. In-flight requests still finishing against the old

@@ -6,10 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sync"
-	"sync/atomic"
+	"strconv"
 	"testing"
-	"time"
 
 	"kernelselect/internal/core"
 	"kernelselect/internal/dataset"
@@ -115,87 +113,54 @@ func TestSelectCacheHitAllocations(t *testing.T) {
 	}
 }
 
-// gatedPricer counts pricing passes and can hold the leader mid-pass so a
-// test can line up followers behind it.
-type gatedPricer struct {
-	model   *sim.Model
-	passes  atomic.Int64 // one per shape pricing pass (counted on config 0)
-	started chan struct{}
-	release chan struct{}
-	once    sync.Once
-}
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
 
-func (p *gatedPricer) PriceGFLOPS(ctx context.Context, cfg gemm.Config, s gemm.Shape) (float64, error) {
-	p.passes.Add(1)
-	p.once.Do(func() {
-		close(p.started)
-		<-p.release
-	})
-	return p.model.GFLOPS(cfg, s), nil
-}
-
-// TestSingleFlightCoalesces holds one pricing pass open while 15 more
-// requests for the same shape arrive, then checks that exactly one pass ran,
-// every request got the identical full-quality decision, and the followers
-// were counted as coalesced.
-func TestSingleFlightCoalesces(t *testing.T) {
+// TestSelectMissAllocations pins the one cache-miss path's allocations under
+// the analytical pricer: every run asks for a shape no run asked before,
+// through Engine.Decide and through the /v1/select handler. A miss allocates
+// the decision's strings, the cache entry, and (on the HTTP path) the
+// request deadline; anything more is new per-miss machinery.
+func TestSelectMissAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own (sync.Pool drops, instrumentation)")
+	}
+	const (
+		decideMax  = 6
+		handlerMax = 11
+	)
 	model := sim.New(device.R9Nano())
-	lib := buildLib(t, model, 6)
-	pricer := &gatedPricer{
-		model:   model,
-		started: make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	srv, err := NewMulti([]Backend{{
-		Device: model.Dev.Name, Lib: lib, Model: model, Pricer: pricer,
-	}}, Options{FallbackShapes: reloadShapes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	be := srv.backends[0]
-	shape := gemm.Shape{M: 784, K: 1152, N: 256}
+	srv := New(buildLib(t, model, 6), model, Options{FallbackShapes: reloadShapes})
+	defer srv.Close()
 
-	const followers = 15
-	results := make([]Decision, followers+1)
-	errs := make([]error, followers+1)
-	var wg sync.WaitGroup
-	for i := 0; i <= followers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = srv.decide(context.Background(), be, shape)
-		}(i)
+	ctx := context.Background()
+	m := 100000
+	decide := func() {
+		m++
+		d, err := srv.Decide(ctx, "", gemm.Shape{M: m, K: 64, N: 64})
+		if err != nil || d.Cached || d.Degraded {
+			t.Fatalf("Decide miss: %+v, %v", d, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, decide); allocs > decideMax {
+		t.Errorf("Decide miss allocates %.0f objects, want <= %d", allocs, decideMax)
 	}
 
-	<-pricer.started // the leader is inside its pricing pass
-	deadline := time.Now().Add(5 * time.Second)
-	for be.coalesced.Load() < followers {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d followers coalesced", be.coalesced.Load(), followers)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(pricer.release)
-	wg.Wait()
-
-	for i := range results {
-		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
-		}
-		if results[i].Degraded {
-			t.Fatalf("request %d degraded: %+v", i, results[i])
-		}
-		if results[i].Index != results[0].Index || results[i].Config != results[0].Config {
-			t.Fatalf("request %d decision %+v differs from %+v", i, results[i], results[0])
+	// The handler reads the payload afresh each run; rewriting m's six
+	// digits in place makes every request a new shape.
+	payload := []byte(`{"m":200000,"k":64,"n":64}`)
+	sr := newSelectRunner(srv, payload)
+	m = 200000
+	selectMiss := func() {
+		m++
+		strconv.AppendInt(payload[5:5], int64(m), 10)
+		sr.run()
+		if sr.w.code != http.StatusOK || !bytes.Contains(sr.w.buf, []byte(`"cached":false`)) {
+			t.Fatalf("select miss: status %d, body %s", sr.w.code, sr.w.buf)
 		}
 	}
-	// Exactly one pricing pass: the gated first call plus the remaining
-	// configs of that same pass.
-	if got, want := pricer.passes.Load(), int64(len(lib.Configs)); got != want {
-		t.Errorf("%d pricing calls, want %d (one pass over the library)", got, want)
-	}
-	if got, _ := srv.decide(context.Background(), be, shape); !got.Cached {
-		t.Error("coalesced pass did not populate the cache")
+	if allocs := testing.AllocsPerRun(200, selectMiss); allocs > handlerMax {
+		t.Errorf("select miss allocates %.0f objects per request, want <= %d", allocs, handlerMax)
 	}
 }
 

@@ -180,14 +180,10 @@ type backendStats struct {
 	budgetFree   int
 	budgetCap    int
 	shed         uint64
-	coalesced    uint64
 	degraded     [numReasons]uint64
 	ewmaSeconds  float64
 	breakerState breakerState
 	breakerTrips uint64
-	warmTotal    int
-	warmed       uint64
-	warmDone     bool
 
 	// Closed-loop series (regret.go, retrain.go).
 	decisions       uint64
@@ -302,12 +298,6 @@ func (m *metrics) render(b *strings.Builder, backends []backendStats) {
 		fmt.Fprintf(b, "selectd_shed_total{device=%q} %d\n", be.device, be.shed)
 	}
 
-	b.WriteString("# HELP selectd_singleflight_coalesced_total Cache-miss requests coalesced onto another request's pricing pass, by device.\n")
-	b.WriteString("# TYPE selectd_singleflight_coalesced_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_singleflight_coalesced_total{device=%q} %d\n", be.device, be.coalesced)
-	}
-
 	b.WriteString("# HELP selectd_compiled_selector Whether the serving generation uses a compiled selector (1) or the interpreted model (0), by device.\n")
 	b.WriteString("# TYPE selectd_compiled_selector gauge\n")
 	for _, be := range backends {
@@ -330,21 +320,6 @@ func (m *metrics) render(b *strings.Builder, backends []backendStats) {
 	b.WriteString("# TYPE selectd_latency_ewma_seconds gauge\n")
 	for _, be := range backends {
 		fmt.Fprintf(b, "selectd_latency_ewma_seconds{device=%q} %.9f\n", be.device, be.ewmaSeconds)
-	}
-
-	b.WriteString("# HELP selectd_warm_shapes_total Shapes cached by the speculative warm pass for the serving generation, by device.\n")
-	b.WriteString("# TYPE selectd_warm_shapes_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_warm_shapes_total{device=%q} %d\n", be.device, be.warmed)
-	}
-	b.WriteString("# HELP selectd_warm_complete Whether the serving generation's warm pass has cached every warm shape (1) or is still cold (0), by device.\n")
-	b.WriteString("# TYPE selectd_warm_complete gauge\n")
-	for _, be := range backends {
-		v := 0
-		if be.warmDone {
-			v = 1
-		}
-		fmt.Fprintf(b, "selectd_warm_complete{device=%q} %d\n", be.device, v)
 	}
 
 	b.WriteString("# HELP selectd_decisions_total Decisions served (full-quality and degraded), by device.\n")

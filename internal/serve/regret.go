@@ -19,12 +19,15 @@ import (
 // offline evaluation ranks selectors by; sampling it live closes the gap
 // between "the selector tested well" and "the selector is serving well".
 //
-// Measurement happens strictly off the request path, mirroring the warm
-// pass: the request goroutine only enqueues a fixed-size sample onto a
-// bounded channel (dropping, counted, when full — never blocking), and a
-// single worker prices the universe via the generation's vectorized batch
-// pricer, bypassing admission budgets, the latency EWMA and the circuit
-// breaker — the measurement describes decision quality, not client service.
+// Measurement happens strictly off the request path: the request goroutine
+// only enqueues a fixed-size sample onto a bounded channel of regretQueue
+// slots (dropping, counted, when full — never blocking), and a single worker
+// prices the universe via the generation's vectorized batch pricer,
+// bypassing admission budgets, the latency EWMA and the circuit breaker —
+// the measurement describes decision quality, not client service.
+
+// regretQueue bounds the background measurement queue.
+const regretQueue = 1024
 
 // regretSample is one sampled decision awaiting measurement. It pins the
 // generation that produced the decision so the measurement prices the config

@@ -56,7 +56,6 @@ import (
 // Options configure the server. The zero value selects the defaults.
 type Options struct {
 	CacheSize      int            // cached decisions per device generation; default 4096, negative disables
-	CacheShards    int            // LRU shards per cache; default 16
 	MaxInFlight    int            // total admission budget, split evenly across backends; default 256
 	Budgets        map[string]int // per-device budget overrides (device name → tokens)
 	MaxBatch       int            // shapes per batch request; default 1024
@@ -80,17 +79,6 @@ type Options struct {
 	// dataset shapes.
 	FallbackShapes []gemm.Shape
 
-	// Warm enables speculative generation warming: every generation swap
-	// background-prices WarmShapes into the new generation's decision cache
-	// (see warm.go), so steady-state traffic never pays a cold miss after a
-	// reload. Default off — warming writes cache entries traffic did not ask
-	// for, which callers watching cache counters must opt into.
-	Warm bool
-
-	// WarmShapes is the shape universe the warm pass prices; default:
-	// FallbackShapes (the paper's dataset shapes).
-	WarmShapes []gemm.Shape
-
 	// RegretSample is the fraction of served decisions stamped for
 	// background regret measurement against the config universe (regret.go).
 	// 0 disables sampling; 1 measures every decision. Sampling is
@@ -102,10 +90,6 @@ type Options struct {
 	// against; default gemm.AllConfigs() (materialized only when the closed
 	// loop is on).
 	RegretUniverse []gemm.Config
-
-	// RegretQueue bounds the background measurement queue; default 1024.
-	// A full queue drops samples (counted) instead of blocking requests.
-	RegretQueue int
 
 	// WindowSize bounds the served-shape sliding window the closed loop
 	// reasons over; default 4096, negative disables the window (and with it
@@ -145,9 +129,6 @@ func (o Options) withDefaults() Options {
 	if o.CacheSize == 0 {
 		o.CacheSize = 4096
 	}
-	if o.CacheShards <= 0 {
-		o.CacheShards = 16
-	}
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 256
 	}
@@ -166,17 +147,11 @@ func (o Options) withDefaults() Options {
 	if o.FallbackShapes == nil {
 		o.FallbackShapes, _ = workload.DatasetShapes()
 	}
-	if o.WarmShapes == nil {
-		o.WarmShapes = o.FallbackShapes
-	}
 	if o.RegretSample < 0 {
 		o.RegretSample = 0
 	}
 	if o.RegretSample > 1 {
 		o.RegretSample = 1
-	}
-	if o.RegretQueue <= 0 {
-		o.RegretQueue = 1024
 	}
 	if o.WindowSize == 0 {
 		o.WindowSize = 4096
@@ -274,7 +249,7 @@ func NewMulti(backends []Backend, opts Options) (*Server, error) {
 		if s.regretEvery < 1 {
 			s.regretEvery = 1
 		}
-		s.regretQ = make(chan regretSample, opts.RegretQueue)
+		s.regretQ = make(chan regretSample, regretQueue)
 	}
 	defaultBudget := opts.MaxInFlight / len(backends)
 	if defaultBudget < 1 {
@@ -323,9 +298,7 @@ func NewMulti(backends []Backend, opts Options) (*Server, error) {
 		if pricer == nil {
 			pricer = modelPricer{b.Model}
 		}
-		gen := s.newGeneration(b.Device, b.Lib, b.Model, pricer)
-		s.startWarm(be, gen)
-		be.gen.Store(gen)
+		be.gen.Store(s.newGeneration(b.Device, b.Lib, b.Model, pricer))
 		s.backends = append(s.backends, be)
 		s.byName[b.Device] = be
 	}
@@ -437,43 +410,48 @@ type Decision struct {
 }
 
 // degradedDecision stamps the generation's precomputed fallback for one
-// shape and counts it. Degraded decisions are never cached: the cache must
-// only ever serve full-quality answers.
+// shape, counts it and accounts it. Degraded decisions are never cached: the
+// cache must only ever serve full-quality answers.
 func (s *Server) degradedDecision(be *backend, gen *generation, shape gemm.Shape, r degradeReason) Decision {
 	be.degraded[r].Add(1)
 	d := *gen.fb.Load()
 	d.Shape = shape.String()
 	d.DegradedReason = reasonNames[r]
+	s.account(be, gen, shape, &d)
 	return d
 }
 
-// decide answers one shape on one backend against a single generation
-// snapshot, consulting its cache first. It fails only when ctx expires
-// mid-computation; pricing failures and an open breaker degrade to the
-// fallback config instead. Aborted and degraded decisions are not cached.
-// Concurrent misses for the same shape coalesce into one pricing pass
-// (flight.go).
+// decide answers one shape without taking admission (a batch holds one
+// token for all its shapes): one cache probe, then on a miss the miss path,
+// against the backend's current generation.
 func (s *Server) decide(ctx context.Context, be *backend, shape gemm.Shape) (Decision, error) {
 	gen := be.gen.Load()
-	if d, ok := gen.cache.get(shape); ok {
-		d.Cached = true
-		s.account(be, gen, shape, &d)
+	if d, ok := s.hit(be, gen, shape); ok {
 		return d, nil
 	}
-	d, err := s.decideMiss(ctx, be, gen, shape)
-	if err == nil {
-		// Every decision that will be served — full-quality or degraded —
-		// feeds the closed loop exactly once; aborted requests served
-		// nothing and are not decisions.
-		s.account(be, gen, shape, &d)
-	}
-	return d, err
+	return s.miss(ctx, be, gen, shape)
 }
 
-// leaderCompute is the single-flight leader's full-service ladder: breaker,
-// deadline estimate, pricing pass, then breaker/EWMA/cache updates. Exactly
-// one caller per (generation, shape) runs it at a time.
-func (s *Server) leaderCompute(ctx context.Context, be *backend, gen *generation, shape gemm.Shape) (Decision, error) {
+// hit probes the generation's decision cache. A hit is marked cached and
+// accounted; every caller probes exactly once per shape, so each miss counts
+// once in selectd_cache_misses_total.
+func (s *Server) hit(be *backend, gen *generation, shape gemm.Shape) (Decision, bool) {
+	d, ok := gen.cache.get(shape)
+	if ok {
+		d.Cached = true
+		s.account(be, gen, shape, &d)
+	}
+	return d, ok
+}
+
+// miss is the one cache-miss path, run once per missed shape against the
+// generation snapshot the caller probed: breaker, deadline estimate, pricing
+// pass, then breaker/EWMA/cache updates. It fails only when ctx expires
+// mid-computation; pricing failures and an open breaker degrade to the
+// fallback config instead. Aborted and degraded decisions are not cached.
+// Every decision it returns has fed the closed loop exactly once; aborted
+// requests served nothing and are not decisions.
+func (s *Server) miss(ctx context.Context, be *backend, gen *generation, shape gemm.Shape) (Decision, error) {
 	if !be.breaker.allow(time.Now()) {
 		return s.degradedDecision(be, gen, shape, reasonBreaker), nil
 	}
@@ -499,6 +477,7 @@ func (s *Server) leaderCompute(ctx context.Context, be *backend, gen *generation
 	be.breaker.onSuccess()
 	ewmaObserve(&be.computeEWMA, time.Since(start))
 	gen.cache.put(shape, d)
+	s.account(be, gen, shape, &d)
 	return d, nil
 }
 
@@ -571,13 +550,6 @@ type reloadResponse struct {
 	Generation uint64 `json:"generation"`
 	Selector   string `json:"selector"`
 	Configs    int    `json:"configs"`
-
-	// Warm progress of the new generation at response time: how many of
-	// WarmShapes the background pass intends to price, how many have landed
-	// in the cache so far, and whether the pass has completed.
-	WarmShapes   int    `json:"warm_shapes"`
-	Warmed       uint64 `json:"warmed"`
-	WarmComplete bool   `json:"warm_complete"`
 }
 
 type healthzBackend struct {
@@ -590,9 +562,7 @@ type healthzBackend struct {
 	InFlight     int64  `json:"in_flight"`
 	BudgetFree   int    `json:"budget_free"`
 	BudgetCap    int    `json:"budget_cap"`
-	WarmShapes   int    `json:"warm_shapes"`
-	Warmed       uint64 `json:"warmed"`
-	WarmComplete bool   `json:"warm_complete"`
+	WarmComplete bool   `json:"warm_complete"` // always true: nothing warms, so readiness pollers never wait
 }
 
 type healthzResponse struct {
@@ -776,9 +746,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	// Cache hits are O(1) and bypass admission entirely: even a saturated
 	// backend keeps answering its steady-state shapes at full quality.
 	gen := be.gen.Load()
-	if d, ok := gen.cache.get(shape); ok {
-		d.Cached = true
-		s.account(be, gen, shape, &d)
+	if d, ok := s.hit(be, gen, shape); ok {
 		buf = appendDecision(buf, &d)
 		buf = append(buf, '\n')
 		writeRawJSON(w, http.StatusOK, buf)
@@ -790,9 +758,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 	if degraded {
 		markNoLatency(w)
-		gen = be.gen.Load()
 		d := s.degradedDecision(be, gen, shape, reasonBudget)
-		s.account(be, gen, shape, &d)
 		buf = appendDecision(buf, &d)
 		buf = append(buf, '\n')
 		writeRawJSON(w, http.StatusOK, buf)
@@ -804,14 +770,14 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
 	defer cancel()
 	start := time.Now()
-	d, err := s.decide(ctx, be, shape)
+	d, err := s.miss(ctx, be, gen, shape)
 	if err != nil {
 		writeRetryable(w, http.StatusServiceUnavailable, errorResponse{Error: "request deadline exceeded"})
 		return
 	}
 	if d.Degraded {
 		markNoLatency(w)
-	} else if !d.Cached {
+	} else {
 		ewmaObserve(&be.latencyEWMA, time.Since(start))
 	}
 	buf = appendDecision(buf, &d)
@@ -863,7 +829,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		results := make([]Decision, len(shapes))
 		for i, sh := range shapes {
 			results[i] = s.degradedDecision(be, gen, sh, reasonBudget)
-			s.account(be, gen, sh, &results[i])
 		}
 		markNoLatency(w)
 		writeBatch(w, results)
@@ -961,15 +926,11 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: call.err.Error()})
 		return
 	}
-	total, warmed, done := be.gen.Load().warmSnapshot()
 	writeJSON(w, http.StatusOK, reloadResponse{
-		Device:       be.name,
-		Generation:   call.genID,
-		Selector:     call.name,
-		Configs:      call.cfgs,
-		WarmShapes:   total,
-		Warmed:       warmed,
-		WarmComplete: done,
+		Device:     be.name,
+		Generation: call.genID,
+		Selector:   call.name,
+		Configs:    call.cfgs,
 	})
 }
 
@@ -1004,7 +965,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	for i, be := range s.backends {
 		gen := be.gen.Load()
 		state, _ := be.breaker.snapshot()
-		total, warmed, done := gen.warmSnapshot()
 		resp.Backends[i] = healthzBackend{
 			Device:       be.name,
 			Generation:   gen.id,
@@ -1015,9 +975,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			InFlight:     be.inflight.Load(),
 			BudgetFree:   be.budgetFree(),
 			BudgetCap:    be.budgetCap,
-			WarmShapes:   total,
-			Warmed:       warmed,
-			WarmComplete: done,
+			WarmComplete: true,
 		}
 	}
 	code := http.StatusOK
@@ -1037,16 +995,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		gen := be.gen.Load()
 		hits, misses := gen.cache.stats()
 		state, trips := be.breaker.snapshot()
-		warmTotal, _, warmDone := gen.warmSnapshot()
 		st := backendStats{
 			device:     be.name,
 			infoLine:   gen.infoLine,
 			generation: gen.id,
 			compiled:   gen.compiled,
-			// Cache and warm counters are cumulative across generation
-			// swaps: the serving generation's live counts ride on the bases
-			// accumulated from displaced generations, so the rendered
-			// counters never decrease on reload.
+			// Cache counters are cumulative across generation swaps: the
+			// serving generation's live counts ride on the bases accumulated
+			// from displaced generations, so the rendered counters never
+			// decrease on reload.
 			hits:            be.cacheHitsBase.Load() + hits,
 			misses:          be.cacheMissesBase.Load() + misses,
 			entries:         gen.cache.len(),
@@ -1054,13 +1011,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			budgetFree:      be.budgetFree(),
 			budgetCap:       be.budgetCap,
 			shed:            be.shed.Load(),
-			coalesced:       be.coalesced.Load(),
 			ewmaSeconds:     ewmaValue(&be.latencyEWMA).Seconds(),
 			breakerState:    state,
 			breakerTrips:    trips,
-			warmTotal:       warmTotal,
-			warmed:          be.warmedTotal.Load(),
-			warmDone:        warmDone,
 			decisions:       be.decisions.Load(),
 			sampled:         be.sampled.Load(),
 			unsampled:       be.unsampled.Load(),

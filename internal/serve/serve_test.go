@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -167,9 +168,15 @@ func TestHealthzAndDraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthy: status %d", resp.StatusCode)
+	}
+	// Nothing warms, so every backend reports warm_complete from the start:
+	// readiness checks that poll it never wait.
+	for _, b := range decodeResp[healthzResponse](t, resp).Backends {
+		if !b.WarmComplete {
+			t.Errorf("%s: warm_complete false", b.Device)
+		}
 	}
 
 	var draining atomic.Bool
@@ -290,6 +297,41 @@ func TestRepeatedShapeHitsCache(t *testing.T) {
 	if entries := metricValue(t, page, "selectd_cache_entries"); entries < 1 {
 		t.Errorf("cache entries %v, want >= 1", entries)
 	}
+}
+
+// TestCacheMissCountedOnce: every path probes the decision cache once per
+// shape, so a select miss, a Decide miss and a batch miss each add exactly
+// one to selectd_cache_misses_total, and a repeated select adds one hit.
+func TestCacheMissCountedOnce(t *testing.T) {
+	srv, ts := testServer(t, Options{})
+	dev := srv.Devices()[0]
+	check := func(step string, wantHits, wantMisses float64) {
+		t.Helper()
+		m := metricsSnapshot(t, ts)
+		hits := m[`selectd_cache_hits_total{device="`+dev+`"}`]
+		misses := m[`selectd_cache_misses_total{device="`+dev+`"}`]
+		if hits != wantHits || misses != wantMisses {
+			t.Fatalf("after %s: hits %v misses %v, want %v and %v", step, hits, misses, wantHits, wantMisses)
+		}
+	}
+	req := shapeRequest{M: 3136, K: 576, N: 128}
+	if d := decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", req)); d.Cached {
+		t.Fatalf("first select claimed a hit: %+v", d)
+	}
+	check("a select miss", 0, 1)
+	if d := decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", req)); !d.Cached {
+		t.Fatalf("repeat select missed: %+v", d)
+	}
+	check("a select hit", 1, 1)
+	if d, err := srv.Decide(context.Background(), "", gemm.Shape{M: 784, K: 1152, N: 256}); err != nil || d.Cached {
+		t.Fatalf("Decide miss: %+v, %v", d, err)
+	}
+	check("a Decide miss", 1, 2)
+	batch := batchRequest{Shapes: []batchShape{{M: 196, K: 2304, N: 512}}}
+	if br := decodeResp[batchResponse](t, postJSON(t, ts.URL+"/v1/select/batch", batch)); len(br.Results) != 1 || br.Results[0].Cached {
+		t.Fatalf("batch miss: %+v", br)
+	}
+	check("a batch miss", 1, 3)
 }
 
 func TestCacheDisabled(t *testing.T) {
@@ -500,7 +542,7 @@ func TestBatchAgreesWithOfflineOnDataset(t *testing.T) {
 // checks every response agrees with the offline path — the race detector
 // covers the cache and metrics under this load.
 func TestConcurrentTrafficConsistency(t *testing.T) {
-	srv, ts := testServer(t, Options{CacheSize: 8, CacheShards: 2})
+	srv, ts := testServer(t, Options{CacheSize: 8})
 	probe := []gemm.Shape{
 		{M: 784, K: 1152, N: 256}, {M: 1, K: 4096, N: 1000}, {M: 3136, K: 64, N: 64},
 		{M: 49, K: 960, N: 160}, {M: 196, K: 384, N: 64}, {M: 12544, K: 16, N: 96},
