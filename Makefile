@@ -68,7 +68,8 @@ bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
 # Pricing micro-benchmark gate: BenchmarkPriceBatch (the vectorized pricing
-# pass the serving hot path runs on every cache miss) must stay within
+# pass behind offline dataset builds, selectd's off-path regret sampling and
+# fallback relearning — no served decision prices anything) must stay within
 # PRICE_TOLERANCE x the committed baseline ns/op in BENCH_price.txt. The
 # factor is deliberately loose — shared CI boxes swing 1.5x run to run, while
 # falling back to the scalar path is a ~3.5x regression (see
@@ -116,73 +117,63 @@ bench-router:
 	fi; \
 	echo "bench-router: cache hit $$new ns/op (0 allocs) within $(ROUTER_TOLERANCE)x of $$base ns/op"
 
-# Serving-path latency baseline: drive an in-process two-device server whose
-# cache the load generator primes first (-warm sends every device x shape of
-# the mix once) and write the quantile/degradation report to BENCH_serve.json
-# for cross-change comparison.
+# Serving-path latency baseline: drive an in-process two-device server built
+# with selectd's default options and write the quantile/degradation report to
+# BENCH_serve.json for cross-change comparison.
 bench-serve:
-	$(GO) run ./cmd/selectload -inprocess -warm -qps 500 -duration 10s -workers 32 -json BENCH_serve.json
+	$(GO) run ./cmd/selectload -inprocess -qps 500 -duration 10s -workers 32 -json BENCH_serve.json
 
-# Regression gate against the committed baseline, two tripwires:
-#   1. a short primed run must hold the achieved rate and stay within
-#      tolerance of the stored p99s. The primed baseline p99 is a few
-#      hundred microseconds, where shared-box scheduler jitter swings the
-#      quantile by an order of magnitude, so an absolute -p99-slack carries
-#      the comparison; bench-serve is the precise measurement.
-#   2. a coarse ramp on the primed stress server must keep the saturation
-#      knee at or above 7000 QPS. The ramp starts well below the floor so a
-#      capacity regression surfaces as a knee below it rather than a
-#      vacuous first-step knee; -knee-qps 0.9 absorbs scheduler noise.
+# Regression gate against the committed baseline, four tripwires:
+#   1. a short run must hold the achieved rate and stay within tolerance of
+#      the stored p99s. The baseline p99 is a few hundred microseconds, where
+#      shared-box scheduler jitter swings the quantile by an order of
+#      magnitude, so an absolute -p99-slack carries the comparison;
+#      bench-serve is the precise measurement.
+#   2. a coarse open-loop ramp on the same default server must keep the
+#      saturation knee at or above 7000 QPS. The ramp starts well below the
+#      floor so a capacity regression surfaces as a knee below it rather than
+#      a vacuous first-step knee; -knee-qps 0.9 absorbs scheduler noise.
 #   3. a fully-sampled closed-loop run must hold every device's mean sampled
 #      regret under 0.05. The full-mix selector measures ~0.001-0.006, so the
 #      ceiling has ~10x headroom for tie-break jitter while a selector that
 #      stopped compressing the mix (~0.1+) fails.
-#   4. the scaleout run keeps the 2.5x strong-scaling ratio AND the warmed
-#      fast-path gate: with the router's edge cache on, the primed 3-replica
-#      fleet must sustain >= 1570 full-service QPS (5x the 314 QPS
-#      pre-fast-path fig7 baseline) with cache-hit p99 under 1ms and zero
-#      errors.
+#   4. the warmed fast-path gate: with the router's edge cache on, the primed
+#      3-replica fleet must sustain >= 1570 full-service QPS with cache-hit
+#      p99 under 1ms and zero errors.
 bench-serve-check:
-	$(GO) run ./cmd/selectload -inprocess -warm -qps 500 -duration 3s -workers 32 \
+	$(GO) run ./cmd/selectload -inprocess -qps 500 -duration 3s -workers 32 \
 		-baseline BENCH_serve.json -tolerance 0.5 -p99-slack 75ms
-	$(GO) run ./cmd/selectload -inprocess -stress -warm -ramp \
+	$(GO) run ./cmd/selectload -inprocess -ramp \
 		-ramp-start 2000 -ramp-step 2000 -ramp-max 8000 -step-duration 2s \
 		-workers 64 -knee-qps 0.9 -require-knee 7000
-	$(GO) run ./cmd/selectload -inprocess -warm -qps 300 -duration 3s -workers 32 \
+	$(GO) run ./cmd/selectload -inprocess -qps 300 -duration 3s -workers 32 \
 		-regret-sample 1 -max-regret 0.05
 	$(GO) run ./cmd/selectload -scaleout -scaleout-replicas 3 -scaleout-duration 2s \
-		-scaleout-kill 0 -scaleout-gate 2.5 -p99-slack 50ms \
+		-scaleout-kill 0 \
 		-scaleout-warmed-qps 1600 -scaleout-warmed-gate 1570 -scaleout-warmed-p99 1ms
 
-# Saturation sweep (Figure 6): ramp the offered rate on the primed stress
-# server (-stress: tight admission budget, a modeled 2ms-per-config pricer
-# standing in for an expensive miss; -warm: the client sends every
-# device x shape of the mix once first, so the decision cache holds them all)
-# until it saturates, then rerun the low end against a cacheless server for
-# the cold-start bound. The steady-state panels and the cold-start
-# achieved-vs-offered panel land in one stacked figure; the gap between the
-# two knees is what the decision cache buys.
+# Saturation sweep (Figure 6): ramp the offered rate on the in-process server
+# selectd ships (two devices, default options) until it saturates — the real
+# daemon's open-loop knee.
 saturation:
-	$(GO) run ./cmd/selectload -inprocess -stress -warm -ramp -ramp-start 1000 -ramp-step 1000 \
+	$(GO) run ./cmd/selectload -inprocess -ramp -ramp-start 1000 -ramp-step 1000 \
 		-ramp-max 10000 -step-duration 3s -workers 64 \
-		-cold-ramp-start 100 -cold-ramp-step 200 -cold-ramp-max 2000 \
 		-json figures/fig6-saturation.json -fig figures/fig6-saturation.svg
 
-# Scale-out sweep (Figure 7): strong scaling of a sharded selectd fleet
-# behind the consistent-hash router — replica counts 1..3 at a fixed offered
-# rate, then a timeline run at the full fleet with a seed-chosen replica
-# killed mid-run and restored, then the warmed fast-path phase: the full
-# fleet rebuilt with the router's edge cache on, every shape primed through
-# the router, and a 3-step offered sweep up to 1600 QPS measuring what the
-# hit path sustains. The run itself enforces the
-# availability contract (zero non-degraded 5xx, fleet reconverges to an
-# all-up /v1/cluster view) and fails if either breaks.
+# Fleet runs (Figure 7) against a sharded fleet of default selectd replicas
+# behind the consistent-hash router: a timeline run with a seed-chosen replica
+# killed mid-run and restored, then the warmed fast-path phase — the fleet
+# rebuilt with the router's edge cache on, every shape primed through the
+# router, and a 3-step offered sweep up to 1600 QPS measuring what the hit
+# path sustains. The run itself enforces the availability contract (zero
+# non-degraded 5xx, fleet reconverges to an all-up /v1/cluster view) and
+# fails if either breaks.
 scaleout:
 	$(GO) run ./cmd/selectload -scaleout -scaleout-replicas 3 -scaleout-duration 3s \
 		-scaleout-kill 6s -json figures/fig7-scaleout.json -fig figures/fig7-scaleout.svg
 
-# Chaos sweep: the fault-injection suite (seed-driven latency spikes, pricing
-# errors, client cancellations, reload races) across $(CHAOS_SEEDS) seeds
+# Chaos sweep: the fault-injection suite (seed-driven latency spikes, injected
+# 503s, client cancellations, reload races) across $(CHAOS_SEEDS) seeds
 # under the race detector, plus the retraining chaos test (reload storm and
 # injected retrain failures while the closed loop promotes candidates). A
 # failing seed is printed in the test name and reproduces exactly with
@@ -191,7 +182,7 @@ chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -run '^TestChaos(Retrain)?$$' ./internal/serve
 
 # Cluster chaos sweep: a 3-replica fleet behind the router with seed-derived
-# pricing faults and client cancellations while the seed-chosen victim is
+# latency spikes, replica 503s and client cancellations while the victim is
 # transport-killed mid-load, restored, and rolled onto a new generation.
 # Audits the no-5xx contract, generation consistency, edge-cache coherence,
 # and fleet reconvergence per seed; reproduce one with CHAOS_BASE=<seed>

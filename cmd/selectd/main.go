@@ -3,15 +3,15 @@
 // this GEMM shape?" from a pruned library and trained selector.
 //
 // The daemon hosts one backend per device model (-devices r9nano,gen9,mali;
-// the first is the default route), each with its own library and decision
-// cache, so a single process serves a heterogeneous fleet and requests pick
-// their target with a "device" field. The default device's library comes
-// from a persisted artifact (-library, written by -save or
-// core.SaveLibrary) or is trained in-process from the device model; the
-// other devices always train in-process. When -devices names more than one
-// device, -library and -selector-file artifacts must carry a device tag
-// (untagged legacy artifacts stay accepted in single-device mode, where
-// there is nothing to confuse). The selector backend is pluggable
+// the first is the default route), each with its own library, so a single
+// process serves a heterogeneous fleet and requests pick their target with a
+// "device" field. The default device's library comes from a persisted
+// artifact (-library, written by -save or core.SaveLibrary) or is trained
+// in-process from the device model; the other devices always train
+// in-process. When -devices names more than one device, -library and
+// -selector-file artifacts must carry a device tag (untagged legacy
+// artifacts stay accepted in single-device mode, where there is nothing to
+// confuse). The selector backend is pluggable
 // (-selector tree|forest|1nn|3nn|linear-svm|radial-svm), so two selectd
 // instances behind a traffic split A/B test the Table-I classifiers;
 // -selector-file swaps in a selector-only artifact over the same kernel set.
@@ -23,31 +23,34 @@
 // backend's device feature vector to the shape and one selector answers for
 // the whole fleet — including synthetic held-out specs
 // (-devices synthetic-fiji-32cu,...) the selector never trained on.
-// Per-device decision caches, budgets, breakers, and metrics are unchanged;
-// only the selector is shared. -unified is exclusive with -library,
-// -selector-file, -save, and -retrain (the shadow retrainer produces
-// shape-only libraries, which the reload path would reject).
+// Per-device budgets and metrics are unchanged; only the selector is shared.
+// -unified is exclusive with -library, -selector-file, -save, and -retrain
+// (the shadow retrainer produces shape-only libraries, which the reload path
+// would reject).
 //
 // Endpoints:
 //
-//	POST /v1/select        {"m":3136,"k":576,"n":128,"device":"gen9"} → chosen config + predicted performance
-//	POST /v1/select/batch  {"device":"...","shapes":[...]} → one decision per shape, priced concurrently
+//	POST /v1/select        {"m":3136,"k":576,"n":128,"device":"gen9"} → chosen config and kernel ID
+//	POST /v1/select/batch  {"device":"...","shapes":[...]} → one decision per shape, at most serve.MaxBatch (1024)
 //	POST /v1/reload        {"device":"..."} → hot-swap that backend onto a freshly loaded/retrained library
 //	GET  /v1/configs       the served kernel set and selector (?device= picks a backend)
 //	GET  /v1/devices       hosted device backends and the default route
-//	GET  /metrics          Prometheus text: request counters, latency histograms, per-device cache/budget/degradation series
-//	GET  /healthz          200 ok / 503 draining; body carries per-backend generation, breaker and budget detail
+//	GET  /metrics          Prometheus text: request counters, latency histograms, per-device budget/degradation series
+//	GET  /healthz          200 ok / 503 draining; body carries per-backend generation and budget detail
 //
-// Resilience: each backend owns an admission budget (-max-inflight split
-// evenly, overridable per device with -budgets r9nano=64,gen9=16), so a hot
-// device cannot starve the others. When a budget is exhausted, the deadline
-// is too short, or the backend's circuit breaker is open (tripped by
-// -breaker-threshold consecutive pricing failures, half-opening after
-// -breaker-cooldown), requests still answer 200 with the backend's
+// Decisions: a select is the generation's compiled selector plus config and
+// kernel-ID strings rendered once per generation — tens of nanoseconds for a
+// tree, with nothing to cache and nothing that can block or fail, so a select
+// takes no admission token and allocates nothing in the handler.
+//
+// Batches: each backend owns an admission budget (-max-inflight split evenly,
+// overridable per device with -budgets r9nano=64,gen9=16) that every batch
+// takes one token from, so a hot device cannot starve the others. A batch
+// that finds its budget exhausted still answers 200 with the backend's
 // precomputed fallback config and "degraded": true. -shed-latency sets an
-// EWMA latency ceiling above which a backend sheds 429 instead.
+// EWMA batch-latency ceiling above which a backend sheds batches 429 instead.
 //
-// Reload is atomic: each backend's library/model/cache lives in an immutable
+// Reload is atomic: each backend's library and model live in an immutable
 // generation behind an atomic pointer; POST /v1/reload or SIGHUP (which
 // reloads every device) swaps it without dropping in-flight requests. The
 // default device re-reads -library when set; other devices retrain in
@@ -55,14 +58,6 @@
 //
 // SIGINT/SIGTERM starts a graceful drain: healthz flips to 503, in-flight
 // requests finish (up to -drain-timeout), then the listener closes.
-//
-// Misses: a shape the serving generation's decision cache has not answered
-// takes one path on first touch — breaker and deadline check, the compiled
-// selector, one pricing pass over the library's ~8 configurations, cache
-// put. Nothing warms the cache ahead of traffic and concurrent misses are not
-// coalesced: a miss costs microseconds beside the HTTP round trip. A client
-// that wants a hot cache before measuring sends its shapes once
-// (selectload -warm).
 //
 // Closed loop (-regret-sample, -retrain): a sampled fraction of live
 // decisions is re-priced off the request path against the full configuration
@@ -92,7 +87,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -113,41 +110,53 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("selectd: ")
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "selectd: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	addr := flag.String("addr", ":8080", "listen address")
-	unifiedPath := flag.String("unified", "", "unified (device-feature-augmented) library artifact; every -devices backend serves from this one selector")
-	libPath := flag.String("library", "", "persisted library artifact for the default device (default: train in-process)")
-	selFile := flag.String("selector-file", "", "selector-only artifact for the default device (overrides the library's selector)")
-	selName := flag.String("selector", "tree", "in-process selector backend: tree, forest, 1nn, 3nn, linear-svm, radial-svm")
-	prName := flag.String("pruner", "decision-tree", "in-process pruning method: top-n, k-means, hdbscan, pca+k-means, decision-tree, greedy-cover")
-	n := flag.Int("n", 8, "library size when training in-process")
-	seed := flag.Uint64("seed", 42, "training seed")
-	devNames := flag.String("devices", "r9nano", "comma-separated device models to serve (r9nano, gen9, mali); the first is the default route")
-	savePath := flag.String("save", "", "write the default device's library artifact to this path and continue")
+// run parses args, builds the device backends, serves until ctx is
+// cancelled, then drains in-flight requests. Log lines go to logw. A nil
+// return means the drain completed.
+func run(ctx context.Context, args []string, logw io.Writer) error {
+	logger := log.New(logw, "selectd: ", 0)
+	fs := flag.NewFlagSet("selectd", flag.ContinueOnError)
+	fs.SetOutput(logw)
+	addr := fs.String("addr", ":8080", "listen address")
+	unifiedPath := fs.String("unified", "", "unified (device-feature-augmented) library artifact; every -devices backend serves from this one selector")
+	libPath := fs.String("library", "", "persisted library artifact for the default device (default: train in-process)")
+	selFile := fs.String("selector-file", "", "selector-only artifact for the default device (overrides the library's selector)")
+	selName := fs.String("selector", "tree", "in-process selector backend: tree, forest, 1nn, 3nn, linear-svm, radial-svm")
+	prName := fs.String("pruner", "decision-tree", "in-process pruning method: top-n, k-means, hdbscan, pca+k-means, decision-tree, greedy-cover")
+	n := fs.Int("n", 8, "library size when training in-process")
+	seed := fs.Uint64("seed", 42, "training seed")
+	devNames := fs.String("devices", "r9nano", "comma-separated device models to serve (r9nano, gen9, mali); the first is the default route")
+	savePath := fs.String("save", "", "write the default device's library artifact to this path and continue")
 
-	cacheSize := flag.Int("cache", 4096, "decision-cache capacity per device (0 disables)")
-	maxInFlight := flag.Int("max-inflight", 256, "total admission budget, split evenly across device backends")
-	budgetsFlag := flag.String("budgets", "", "per-device budget overrides, e.g. r9nano=64,gen9=16")
-	shedLatency := flag.Duration("shed-latency", 0, "shed 429 when a backend's latency EWMA exceeds this (0 disables)")
-	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive pricing failures that trip a backend to fallback-only")
-	breakerCooldown := flag.Duration("breaker-cooldown", time.Second, "how long a tripped breaker stays open before a trial request")
-	maxBatch := flag.Int("max-batch", 1024, "shapes per batch request")
-	timeout := flag.Duration("timeout", 5*time.Second, "per-request deadline")
-	workers := flag.Int("workers", 0, "pricing workers per batch request (0 = GOMAXPROCS)")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain window")
-	regretSample := flag.Float64("regret-sample", 0, "fraction of live decisions re-priced off-path for regret telemetry (0 disables)")
-	windowSize := flag.Int("window", 4096, "served-shape sliding window per device for drift scoring and fallback learning (negative disables)")
-	driftThreshold := flag.Float64("drift-threshold", 0.25, "PSI drift score above which a shadow retrain fires")
-	retrain := flag.Bool("retrain", false, "shadow-retrain the selector on the observed shape mix when drift crosses -drift-threshold")
-	maintainInterval := flag.Duration("maintain-interval", 30*time.Second, "cadence of the drift/fallback/retrain maintenance loop (0 disables it)")
-	pprofAddr := flag.String("pprof", "", "expose net/http/pprof on this separate listen address (empty disables)")
-	flag.Parse()
+	maxInFlight := fs.Int("max-inflight", 256, "total batch admission budget, split evenly across device backends")
+	budgetsFlag := fs.String("budgets", "", "per-device batch budget overrides, e.g. r9nano=64,gen9=16")
+	shedLatency := fs.Duration("shed-latency", 0, "shed batches 429 when a backend's batch-latency EWMA exceeds this (0 disables)")
+	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain window")
+	regretSample := fs.Float64("regret-sample", 0, "fraction of live decisions re-priced off-path for regret telemetry (0 disables)")
+	windowSize := fs.Int("window", 4096, "served-shape sliding window per device for drift scoring and fallback learning (negative disables)")
+	driftThreshold := fs.Float64("drift-threshold", 0.25, "PSI drift score above which a shadow retrain fires")
+	retrain := fs.Bool("retrain", false, "shadow-retrain the selector on the observed shape mix when drift crosses -drift-threshold")
+	maintainInterval := fs.Duration("maintain-interval", 30*time.Second, "cadence of the drift/fallback/retrain maintenance loop (0 disables it)")
+	pprofAddr := fs.String("pprof", "", "expose net/http/pprof on this separate listen address (empty disables)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	specs, err := devicesFor(*devNames)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *unifiedPath != "" {
 		for flagName, set := range map[string]bool{
@@ -157,22 +166,22 @@ func main() {
 			"-retrain":       *retrain,
 		} {
 			if set {
-				log.Fatalf("-unified is exclusive with %s", flagName)
+				return fmt.Errorf("-unified is exclusive with %s", flagName)
 			}
 		}
 	}
 	budgets, err := parseBudgets(*budgetsFlag)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	trainer, err := trainerFor(*selName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pruner, err := prunerFor(*prName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// One backend per device. In unified mode a single device-feature-aware
@@ -186,7 +195,7 @@ func main() {
 	if *unifiedPath != "" {
 		lib, err := loadUnifiedLibrary(*unifiedPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for i, spec := range specs {
 			backends[i] = serve.Backend{Device: spec.Name, Lib: lib, Model: sim.New(spec)}
@@ -201,7 +210,7 @@ func main() {
 				lib, err = trainLibrary(model, pruner, trainer, *n, *seed)
 			}
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			backends[i] = serve.Backend{Device: spec.Name, Lib: lib, Model: model}
 		}
@@ -210,7 +219,7 @@ func main() {
 	if *selFile != "" {
 		f, err := os.Open(*selFile)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		var sel core.Selector
 		if strictTags {
@@ -220,27 +229,27 @@ func main() {
 		}
 		f.Close()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		lib, err := backends[0].Lib.WithSelector(sel)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		backends[0].Lib = lib
 	}
 	if *savePath != "" {
 		f, err := os.Create(*savePath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := core.SaveLibraryForDevice(f, backends[0].Lib, specs[0].Name); err != nil {
 			f.Close()
-			log.Fatal(err)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		log.Printf("saved library artifact to %s", *savePath)
+		logger.Printf("saved library artifact to %s", *savePath)
 	}
 
 	// The shadow retrain reuses the daemon's own pruner/trainer over whatever
@@ -255,15 +264,9 @@ func main() {
 	}
 
 	srv, err := serve.NewMulti(backends, serve.Options{
-		CacheSize:        cacheCapacity(*cacheSize),
 		MaxInFlight:      *maxInFlight,
 		Budgets:          budgets,
 		ShedLatency:      *shedLatency,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		MaxBatch:         *maxBatch,
-		RequestTimeout:   *timeout,
-		Workers:          *workers,
 		RegretSample:     *regretSample,
 		WindowSize:       *windowSize,
 		DriftThreshold:   *driftThreshold,
@@ -271,16 +274,17 @@ func main() {
 		Retrain:          retrainFn,
 		OnRetrain: func(ev serve.RetrainEvent) {
 			if ev.Accepted {
-				log.Printf("retrain %s: promoted generation %d (drift %.3f, holdout regret %.4f vs incumbent %.4f)",
+				logger.Printf("retrain %s: promoted generation %d (drift %.3f, holdout regret %.4f vs incumbent %.4f)",
 					ev.Device, ev.Generation, ev.Drift, ev.CandidateRegret, ev.IncumbentRegret)
 				return
 			}
-			log.Printf("retrain %s: %s (drift %.3f)", ev.Device, ev.Reason, ev.Drift)
+			logger.Printf("retrain %s: %s (drift %.3f)", ev.Device, ev.Reason, ev.Drift)
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer srv.Close()
 	var draining atomic.Bool
 	srv.SetDrainCheck(draining.Load)
 
@@ -310,21 +314,29 @@ func main() {
 
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
+	defer signal.Stop(hup)
+	done := make(chan struct{})
+	defer close(done)
 	go func() {
-		for range hup {
-			log.Print("SIGHUP: reloading all devices")
+		for {
+			select {
+			case <-done:
+				return
+			case <-hup:
+			}
+			logger.Print("SIGHUP: reloading all devices")
 			for _, spec := range specs {
 				lib, model, err := reloadSrc(spec.Name)
 				if err != nil {
-					log.Printf("reload %s: %v", spec.Name, err)
+					logger.Printf("reload %s: %v", spec.Name, err)
 					continue
 				}
 				id, err := srv.Reload(spec.Name, lib, model)
 				if err != nil {
-					log.Printf("reload %s: %v", spec.Name, err)
+					logger.Printf("reload %s: %v", spec.Name, err)
 					continue
 				}
-				log.Printf("reloaded %s: generation %d, %d configurations", spec.Name, id, len(lib.Configs))
+				logger.Printf("reloaded %s: generation %d, %d configurations", spec.Name, id, len(lib.Configs))
 			}
 		}
 	}()
@@ -340,63 +352,55 @@ func main() {
 		pmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		psrv := &http.Server{Addr: *pprofAddr, Handler: pmux, ReadHeaderTimeout: 5 * time.Second}
+		defer psrv.Close()
 		go func() {
 			if err := psrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("pprof listener: %v", err)
+				logger.Printf("pprof listener: %v", err)
 			}
 		}()
-		log.Printf("pprof on %s", *pprofAddr)
+		logger.Printf("pprof on %s", *pprofAddr)
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
+	go func() { errCh <- httpSrv.Serve(ln) }()
 	for _, b := range backends {
-		log.Printf("serving %s: %d configurations with selector %s",
+		logger.Printf("serving %s: %d configurations with selector %s",
 			b.Device, len(b.Lib.Configs), b.Lib.SelectorName())
 	}
-	log.Printf("listening on %s (default device %s)", *addr, specs[0].Name)
+	logger.Printf("listening on %s (default device %s)", ln.Addr(), specs[0].Name)
 
 	select {
 	case err := <-errCh:
-		log.Fatal(err)
+		return err
 	case <-ctx.Done():
 	}
 
 	// Graceful drain: fail healthz first so load balancers rotate us out,
 	// then let in-flight requests finish before the listener closes.
-	log.Printf("signal received, draining for up to %v", *drainTimeout)
+	logger.Printf("signal received, draining for up to %v", *drainTimeout)
 	draining.Store(true)
 	srv.Close() // stop the regret worker and maintenance loop before the drain
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		log.Fatalf("drain incomplete: %v", err)
+		return fmt.Errorf("drain incomplete: %w", err)
 	}
 	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
+		return err
 	}
-	log.Print("drained cleanly")
-}
-
-// cacheCapacity maps the flag convention (0 disables) onto the serve.Options
-// convention (negative disables, 0 means default).
-func cacheCapacity(flagVal int) int {
-	if flagVal <= 0 {
-		return -1
-	}
-	return flagVal
+	logger.Print("drained cleanly")
+	return nil
 }
 
 // deviceFor resolves short aliases first, then full device names — which

@@ -1,9 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"kernelselect/internal/core"
 	"kernelselect/internal/dataset"
@@ -65,18 +72,6 @@ func TestParseBudgets(t *testing.T) {
 		if _, err := parseBudgets(bad); err == nil {
 			t.Errorf("parseBudgets(%q): expected error", bad)
 		}
-	}
-}
-
-func TestCacheCapacityFlagMapping(t *testing.T) {
-	if got := cacheCapacity(0); got != -1 {
-		t.Errorf("cacheCapacity(0) = %d, want -1 (disabled)", got)
-	}
-	if got := cacheCapacity(-3); got != -1 {
-		t.Errorf("cacheCapacity(-3) = %d, want -1", got)
-	}
-	if got := cacheCapacity(512); got != 512 {
-		t.Errorf("cacheCapacity(512) = %d", got)
 	}
 }
 
@@ -179,5 +174,135 @@ func TestDevicesForParsing(t *testing.T) {
 		if _, err := devicesFor(bad); err == nil {
 			t.Errorf("devicesFor(%q): expected error", bad)
 		}
+	}
+}
+
+// selectd has no decision cache, circuit breaker, request deadline, batch
+// worker pool or batch-size setting, so their flags must fail loudly rather
+// than be accepted and ignored.
+func TestRemovedFlagsRejected(t *testing.T) {
+	for _, arg := range []string{
+		"-cache=4096", "-breaker-threshold=5", "-breaker-cooldown=1s",
+		"-timeout=5s", "-workers=4", "-max-batch=1024",
+	} {
+		var out bytes.Buffer
+		err := run(context.Background(), []string{arg}, &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("run with %s: error %v, want an unknown-flag error", arg, err)
+		}
+	}
+}
+
+// logWatch is a goroutine-safe log sink that signals every write, so a test
+// can wait for a line to be logged.
+type logWatch struct {
+	mu      sync.Mutex
+	buf     bytes.Buffer
+	written chan struct{} // capacity 1: one pending signal covers any number of writes
+}
+
+func newLogWatch() *logWatch { return &logWatch{written: make(chan struct{}, 1)} }
+
+func (l *logWatch) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	n, err := l.buf.Write(p)
+	l.mu.Unlock()
+	select {
+	case l.written <- struct{}{}:
+	default:
+	}
+	return n, err
+}
+
+func (l *logWatch) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// await returns the first whitespace-delimited word after marker once a
+// logged line contains it.
+func (l *logWatch) await(t *testing.T, marker string) string {
+	t.Helper()
+	timeout := time.After(10 * time.Second)
+	for {
+		for _, line := range strings.Split(l.String(), "\n") {
+			if _, rest, ok := strings.Cut(line, marker); ok {
+				if f := strings.Fields(rest); len(f) > 0 {
+					return f[0]
+				}
+			}
+		}
+		select {
+		case <-l.written:
+		case <-timeout:
+			t.Fatalf("no %q line logged; log so far:\n%s", marker, l.String())
+		}
+	}
+}
+
+// The daemon serves a select from a persisted artifact, then drains cleanly
+// and stops listening once its context is cancelled (the SIGTERM path).
+func TestRunServesAndDrains(t *testing.T) {
+	model := sim.New(device.R9Nano())
+	shapes := []gemm.Shape{
+		{M: 1, K: 4096, N: 1000}, {M: 3136, K: 64, N: 64}, {M: 784, K: 1152, N: 256},
+		{M: 196, K: 2304, N: 512}, {M: 12544, K: 27, N: 32}, {M: 49, K: 960, N: 160},
+	}
+	ds := dataset.Build(model, shapes, gemm.AllConfigs()[:120])
+	lib := core.BuildLibrary(ds, core.DecisionTree{}, core.DecisionTreeSelector{}, 4, 42)
+	path := filepath.Join(t.TempDir(), "lib.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.SaveLibrary(f, lib); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	logs := newLogWatch()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-library", path}, logs)
+	}()
+	addr := "http://" + logs.await(t, "listening on ")
+
+	resp, err := http.Post(addr+"/v1/select", "application/json", strings.NewReader(`{"m":784,"k":1152,"n":256}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d struct {
+		Config string `json:"config"`
+		Index  int    `json:"index"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&d)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("select: status %d, decode error %v", resp.StatusCode, err)
+	}
+	if want := lib.ChooseIndex(gemm.Shape{M: 784, K: 1152, N: 256}); d.Index != want || d.Config != lib.Configs[want].String() {
+		t.Fatalf("decision %+v, want index %d of the artifact", d, want)
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run after cancel: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("selectd did not drain within 15s of cancel")
+	}
+	if !strings.Contains(logs.String(), "drained cleanly") {
+		t.Errorf("no clean-drain line in the log:\n%s", logs.String())
+	}
+	if resp, err := http.Post(addr+"/v1/select", "application/json", strings.NewReader(`{"m":1,"k":1,"n":1}`)); err == nil {
+		resp.Body.Close()
+		t.Error("selectd still accepting requests after it drained")
 	}
 }

@@ -19,8 +19,9 @@
 //	selectload -url http://localhost:8080 -qps 500 -duration 30s [-devices amd-r9-nano,integrated-gen9]
 //	selectload -inprocess -qps 500 -duration 10s -json BENCH_serve.json
 //	selectload -inprocess -qps 500 -duration 10s -baseline BENCH_serve.json    # regression gate
-//	selectload -inprocess -ramp -ramp-start 500 -ramp-step 500 -fig figures/fig6-saturation.svg
-//	selectload -inprocess -stress -warm -ramp -ramp-max 9000 -cold-ramp-max 2000 -require-knee 7000
+//	selectload -inprocess -ramp -ramp-start 1000 -ramp-step 1000 -fig figures/fig6-saturation.svg
+//	selectload -inprocess -ramp -ramp-start 2000 -ramp-step 2000 -ramp-max 8000 -require-knee 7000
+//	selectload -url http://router:8090 -warm -qps 1000 -duration 10s
 //
 // The -json report is the serving-path benchmark baseline (`make bench-serve`
 // writes BENCH_serve.json): track p50/p95/p99 and the degraded/shed rates
@@ -30,17 +31,16 @@
 // With -ramp the generator steps the offered rate until the server saturates
 // (shed+degraded past -knee-shed, or achieved QPS falling under -knee-qps of
 // offered), reports the knee, and renders the latency/shed trade-off figure.
+// -require-knee N turns the ramp into a CI gate: it fails when the knee lands
+// below N QPS (or, when no knee is found, when the ramp could not sustain 95%
+// of N).
 //
-// -warm primes the server's decision cache before offering load: the client
-// sends every (device, shape) the run can draw once, retrying each until it
-// answers full quality, so the run measures the steady state a deployment
-// converges to once its shapes have been seen. It works against -url and
-// -inprocess alike (the daemon itself never warms). With -cold-ramp-max > 0
-// a second, cacheless server is swept separately as the permanent
-// cold-start bound, and the JSON report splits into
-// {"steady_state": ..., "cold_start": ...}. -require-knee N turns the run
-// into a CI gate: it fails when the steady-state knee lands below N QPS (or,
-// when no knee is found, when the ramp could not sustain 95% of N).
+// The in-process server is the one selectd ships: two device backends with
+// default options. Every select there is the same compiled-selector walk, so
+// there is nothing to warm. -warm exists for a -url that fronts a cache — a
+// cluster router's edge cache: before offering load the client sends every
+// (device, shape) the run can draw once, retrying each until it answers full
+// quality, so the run measures the steady state of a warm edge.
 //
 // Closed-loop reporting: after a fixed-rate run the generator scrapes the
 // server's /metrics page and, when the server samples decisions for regret
@@ -59,7 +59,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -106,7 +105,6 @@ type deviceReport struct {
 	P95Micros     int64   `json:"p95_us"`
 	P99Micros     int64   `json:"p99_us"`
 	QueueP99Micro int64   `json:"queue_p99_us"`
-	CacheHitRate  float64 `json:"cache_hit_rate"`
 	DegradedRate  float64 `json:"degraded_rate"`
 	ShedRate      float64 `json:"shed_rate"`
 	Errors        int     `json:"errors"`
@@ -127,7 +125,6 @@ type sample struct {
 	device   string
 	latency  time.Duration
 	queue    time.Duration // lateness vs. the open-loop schedule
-	cached   bool
 	degraded bool
 	shed     bool
 	err      bool
@@ -154,8 +151,7 @@ func main() {
 	inprocess := flag.Bool("inprocess", false, "benchmark an in-process server instead of -url")
 	regretSample := flag.Float64("regret-sample", 0, "closed-loop regret sampling fraction on the -inprocess server (0 disables)")
 	maxRegret := flag.Float64("max-regret", 0, "fail when any device's mean sampled regret exceeds this (0 = no gate)")
-	stress := flag.Bool("stress", false, "build the -inprocess server miss-heavy (no decision cache, tight admission budget, shed threshold) so ramps hit the resilience path")
-	warm := flag.Bool("warm", false, "prime the server's decision cache with every (device, shape) the run can draw before offering load")
+	warm := flag.Bool("warm", false, "prime the -url router's edge cache with every (device, shape) the run can draw before offering load")
 	baseline := flag.String("baseline", "", "compare against a stored report; exit non-zero on regression")
 	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional regression vs -baseline (QPS and p99)")
 	p99Slack := flag.Duration("p99-slack", 0, "absolute grace on the -baseline p99 comparison: a rise fails only past both the tolerance ceiling and baseline+slack")
@@ -167,16 +163,12 @@ func main() {
 	kneeShed := flag.Float64("knee-shed", 0.01, "shed+degraded rate that marks the saturation knee")
 	kneeQPS := flag.Float64("knee-qps", 0.95, "achieved/offered ratio below which the knee is declared")
 	fig := flag.String("fig", "", "write the ramp's latency/shed trade-off figure (SVG) to this path")
-	coldStart := flag.Int("cold-ramp-start", 100, "cold-start sweep's first offered QPS")
-	coldStep := flag.Int("cold-ramp-step", 200, "cold-start sweep's offered QPS increment")
-	coldMax := flag.Int("cold-ramp-max", 0, "cold-start sweep's QPS ceiling; 0 skips the cold-start sweep")
-	requireKnee := flag.Int("require-knee", 0, "fail unless the steady-state knee is at or above this QPS (0 = no gate)")
-	scaleout := flag.Bool("scaleout", false, "strong-scaling sweep of an in-process sharded fleet behind the cluster router (uses -fig/-json for fig7 outputs)")
-	scaleReplicas := flag.Int("scaleout-replicas", 3, "full fleet size for the -scaleout sweep (each count 1..N is measured)")
-	scaleQPS := flag.Int("scaleout-qps", 450, "total offered QPS at every replica count of the -scaleout sweep")
-	scaleDuration := flag.Duration("scaleout-duration", 3*time.Second, "measurement window per replica count")
-	scaleKill := flag.Duration("scaleout-kill", 6*time.Second, "length of the replica-kill timeline run at the full fleet (0 skips it)")
-	scaleGate := flag.Float64("scaleout-gate", 0, "fail unless the full fleet's full-service QPS is at least this multiple of one replica's (0 = no gate)")
+	requireKnee := flag.Int("require-knee", 0, "fail unless the ramp's saturation knee is at or above this QPS (0 = no gate)")
+	scaleout := flag.Bool("scaleout", false, "replica-kill timeline and warmed edge-cache phase of an in-process sharded fleet behind the cluster router (uses -fig/-json for fig7 outputs)")
+	scaleReplicas := flag.Int("scaleout-replicas", 3, "fleet size for the -scaleout runs")
+	scaleQPS := flag.Int("scaleout-qps", 450, "offered QPS of the replica-kill timeline")
+	scaleDuration := flag.Duration("scaleout-duration", 3*time.Second, "measurement window per warmed-phase step")
+	scaleKill := flag.Duration("scaleout-kill", 6*time.Second, "length of the replica-kill timeline run (0 skips it)")
 	scaleWarmedQPS := flag.Int("scaleout-warmed-qps", 1600, "top offered QPS for the warmed fast-path phase (router edge cache on); 0 skips the phase")
 	scaleWarmedGate := flag.Float64("scaleout-warmed-gate", 0, "fail unless the warmed fleet's full-service QPS at the top offered step reaches this floor (0 = no gate)")
 	scaleWarmedP99 := flag.Duration("scaleout-warmed-p99", time.Millisecond, "p99 ceiling at the warmed phase's top offered step, enforced with -scaleout-warmed-gate (0 = no ceiling)")
@@ -198,25 +190,15 @@ func main() {
 	}
 
 	if *scaleout {
-		// The sweep builds its own in-process fleets; -url, -inprocess, and the
-		// ramp flags do not apply.
-		workers := cfg.workers
-		if workers < 96 {
-			// Full-service requests cost ~64ms of modeled pricing each, so the
-			// open-loop driver needs rate x latency in-flight slots with slack;
-			// fewer and the client, not the fleet, caps the measured scaling.
-			workers = 96
-		}
+		// The runs build their own in-process fleets; -url, -inprocess, and
+		// the ramp flags do not apply.
 		err := runScaleout(scaleoutConfig{
-			replicas:  *scaleReplicas,
-			qps:       *scaleQPS,
-			duration:  *scaleDuration,
-			killRun:   *scaleKill,
-			gate:      *scaleGate,
-			tolerance: *tolerance,
-			p99Slack:  *p99Slack,
-			seed:      cfg.seed,
-			workers:   workers,
+			replicas: *scaleReplicas,
+			qps:      *scaleQPS,
+			duration: *scaleDuration,
+			killRun:  *scaleKill,
+			seed:     cfg.seed,
+			workers:  cfg.workers,
 
 			warmedQPS:  *scaleWarmedQPS,
 			warmedGate: *scaleWarmedGate,
@@ -231,8 +213,11 @@ func main() {
 	if *regretSample > 0 && !*inprocess {
 		log.Fatal("-regret-sample requires -inprocess (a remote daemon samples via its own -regret-sample flag)")
 	}
+	if *warm && *inprocess {
+		log.Fatal("-warm primes a router's edge cache through -url; the -inprocess server has no cache to prime")
+	}
 	if *inprocess {
-		ts, names, err := inprocessServer(*stress, *warm, *regretSample)
+		ts, names, err := inprocessServer(*regretSample)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -247,7 +232,7 @@ func main() {
 		if err := warmFastPath(cfg.url, cfg.devices, shapes); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("cache primed: %d shapes on %d device route(s)", len(shapes), max(len(cfg.devices), 1))
+		log.Printf("edge cache primed: %d shapes on %d device route(s)", len(shapes), max(len(cfg.devices), 1))
 	}
 
 	if *ramp {
@@ -263,47 +248,11 @@ func main() {
 			log.Fatal(err)
 		}
 		printRamp(os.Stdout, rr)
-
-		// The optional cold-start sweep runs against its own cacheless
-		// server: every request takes the full pricing path, bounding what a
-		// deploy sees for shapes its cache has not yet answered.
-		var cold *rampReport
-		if *coldMax > 0 {
-			if !*inprocess {
-				log.Fatal("-cold-ramp-max requires -inprocess (the cold sweep builds its own cacheless server)")
-			}
-			cts, _, err := inprocessServer(*stress, false, 0)
-			if err != nil {
-				log.Fatal(err)
-			}
-			coldCfg := cfg
-			coldCfg.url = cts.URL
-			cr, err := runRamp(coldCfg, rampConfig{
-				start:    *coldStart,
-				step:     *coldStep,
-				max:      *coldMax,
-				duration: *stepDuration,
-				kneeShed: *kneeShed,
-				kneeQPS:  *kneeQPS,
-			})
-			cts.Close()
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println("cold-start sweep:")
-			printRamp(os.Stdout, cr)
-			cold = &cr
-		}
-
 		if *jsonPath != "" {
-			if cold != nil {
-				writeJSONFile(*jsonPath, sweepReport{ColdStart: cold, SteadyState: &rr})
-			} else {
-				writeJSONFile(*jsonPath, rr)
-			}
+			writeJSONFile(*jsonPath, rr)
 		}
 		if *fig != "" {
-			svg, err := sweepFigure(rr, cold)
+			svg, err := rampFigure(rr)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -361,21 +310,13 @@ func writeJSONFile(path string, v any) {
 }
 
 // inprocessServer builds a two-device serving stack (R9 Nano + Gen9, each
-// trained in-process over the dataset shape mix) behind httptest, for
-// self-contained serving-path benchmarks. In stress mode admission/shed
-// limits are tightened and pricing is given a modeled expensive-miss cost
-// (measuredPricer); without warm the decision cache is also disabled, so
-// every request takes the full pricing path and a ramp finds the knee where
-// the resilience machinery (degraded fallbacks, 429 shedding) engages
-// instead of measuring how fast cache hits come back. With warm the cache
-// stays on for the client to prime before offering load — the steady state
-// a deployment converges to, where the knee reflects the cache-hit path's
-// capacity rather than the pricing path's. regretSample > 0 turns on the
-// closed loop: that fraction of decisions is re-priced off-path against the
-// server's own config slice and exported as selectd_regret, and a fast
-// maintenance loop keeps the drift gauge live so the post-run scrape has
-// settled numbers to report.
-func inprocessServer(stress, warm bool, regretSample float64) (*httptest.Server, []string, error) {
+// trained in-process over the dataset shape mix) with selectd's default
+// options behind httptest, for self-contained serving-path benchmarks.
+// regretSample > 0 turns on the closed loop: that fraction of decisions is
+// re-priced off-path against the server's own config slice and exported as
+// selectd_regret, and a fast maintenance loop keeps the drift gauge live so
+// the post-run scrape has settled numbers to report.
+func inprocessServer(regretSample float64) (*httptest.Server, []string, error) {
 	allShapes, _ := workload.DatasetShapes()
 	configs := gemm.AllConfigs()[:160]
 	// Latency benchmarks train on a 24-shape slice (the training cost is not
@@ -393,14 +334,7 @@ func inprocessServer(stress, warm bool, regretSample float64) (*httptest.Server,
 		model := sim.New(spec)
 		ds := dataset.Build(model, trainShapes, configs)
 		lib := core.BuildLibrary(ds, core.DecisionTree{}, core.DecisionTreeSelector{}, 8, 42)
-		be := serve.Backend{Device: spec.Name, Lib: lib, Model: model}
-		if stress {
-			// The analytical model prices a config in nanoseconds; real
-			// pricing runs the kernel on the device. Model that cost so the
-			// admission budget is contended at rates a ramp can reach.
-			be.Pricer = measuredPricer{m: model, cost: 2 * time.Millisecond}
-		}
-		backends = append(backends, be)
+		backends = append(backends, serve.Backend{Device: spec.Name, Lib: lib, Model: model})
 		names = append(names, spec.Name)
 	}
 	opts := serve.Options{}
@@ -409,47 +343,11 @@ func inprocessServer(stress, warm bool, regretSample float64) (*httptest.Server,
 		opts.RegretUniverse = configs
 		opts.MaintainInterval = 50 * time.Millisecond
 	}
-	if stress {
-		// Pricing one miss costs ~16ms of modeled measurement (8 configs x
-		// 2ms), so 8 admission tokens per backend cap full-service pricing
-		// near 500/s per device; past that, budget exhaustion degrades
-		// requests to the fallback. The shed threshold sits well above the
-		// nominal service time so it reflects real latency inflation, not
-		// timer slop on a loaded machine.
-		opts.MaxInFlight = 16
-		opts.ShedLatency = 60 * time.Millisecond
-		if !warm {
-			opts.CacheSize = -1
-		}
-	}
 	srv, err := serve.NewMulti(backends, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	return httptest.NewServer(srv.Handler()), names, nil
-}
-
-// measuredPricer models an expensive miss on top of the analytical model:
-// each (config, shape) price takes a fixed wall-clock cost, the way pricing
-// by running the candidate kernel on the device would. It exists only for
-// the stress-mode ramps (Figure 6) and the scale-out sweep (Figure 7), so
-// saturation reflects a costly pricing path rather than simulator speed;
-// selectd itself always prices analytically, and on-device measurement is
-// not a serving mode.
-type measuredPricer struct {
-	m    *sim.Model
-	cost time.Duration
-}
-
-func (p measuredPricer) PriceGFLOPS(ctx context.Context, cfg gemm.Config, s gemm.Shape) (float64, error) {
-	timer := time.NewTimer(p.cost)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	case <-timer.C:
-	}
-	return p.m.GFLOPS(cfg, s), nil
 }
 
 // mix is the shape set a run draws from: the dataset mix, or with shift the
@@ -489,7 +387,6 @@ func run(cfg config) (report, error) {
 	}
 
 	type decision struct {
-		Cached   bool `json:"cached"`
 		Degraded bool `json:"degraded"`
 	}
 	client := &http.Client{Timeout: 30 * time.Second, Transport: loadTransport(cfg.workers)}
@@ -537,7 +434,7 @@ func run(cfg config) (report, error) {
 					if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
 						smp.err = true
 					} else {
-						smp.cached, smp.degraded = d.Cached, d.Degraded
+						smp.degraded = d.Degraded
 					}
 				case http.StatusTooManyRequests:
 					smp.shed = true
@@ -561,8 +458,8 @@ func run(cfg config) (report, error) {
 
 	// Aggregate per device.
 	byDevice := map[string]*struct {
-		lats, queues                 []time.Duration
-		cached, degraded, shed, errs int
+		lats, queues         []time.Duration
+		degraded, shed, errs int
 	}{}
 	order := []string{}
 	var allQueues []time.Duration
@@ -570,8 +467,8 @@ func run(cfg config) (report, error) {
 		agg, ok := byDevice[smp.device]
 		if !ok {
 			agg = &struct {
-				lats, queues                 []time.Duration
-				cached, degraded, shed, errs int
+				lats, queues         []time.Duration
+				degraded, shed, errs int
 			}{}
 			byDevice[smp.device] = agg
 			order = append(order, smp.device)
@@ -579,9 +476,6 @@ func run(cfg config) (report, error) {
 		agg.lats = append(agg.lats, smp.latency)
 		agg.queues = append(agg.queues, smp.queue)
 		allQueues = append(allQueues, smp.queue)
-		if smp.cached {
-			agg.cached++
-		}
 		if smp.degraded {
 			agg.degraded++
 		}
@@ -615,7 +509,6 @@ func run(cfg config) (report, error) {
 			P95Micros:     percentile(agg.lats, 95).Microseconds(),
 			P99Micros:     percentile(agg.lats, 99).Microseconds(),
 			QueueP99Micro: percentile(agg.queues, 99).Microseconds(),
-			CacheHitRate:  rate(agg.cached, n),
 			DegradedRate:  rate(agg.degraded, n),
 			ShedRate:      rate(agg.shed, n),
 			Errors:        agg.errs,
@@ -678,12 +571,12 @@ func percentile(lats []time.Duration, p float64) time.Duration {
 func printReport(w *os.File, rep report) {
 	fmt.Fprintf(w, "qps %d requested, %.1f achieved over %s (seed %d, limiter %s)\n",
 		rep.RequestedQPS, rep.AchievedQPS, rep.Duration, rep.Seed, rep.Limiter)
-	fmt.Fprintf(w, "%-22s %8s %10s %10s %10s %10s %7s %9s %6s %6s\n",
-		"device", "requests", "p50(us)", "p95(us)", "p99(us)", "queue99", "hit%", "degraded%", "shed%", "errors")
+	fmt.Fprintf(w, "%-22s %8s %10s %10s %10s %10s %9s %6s %6s\n",
+		"device", "requests", "p50(us)", "p95(us)", "p99(us)", "queue99", "degraded%", "shed%", "errors")
 	for _, d := range rep.Devices {
-		fmt.Fprintf(w, "%-22s %8d %10d %10d %10d %10d %6.1f%% %8.2f%% %5.2f%% %6d\n",
+		fmt.Fprintf(w, "%-22s %8d %10d %10d %10d %10d %8.2f%% %5.2f%% %6d\n",
 			d.Device, d.Requests, d.P50Micros, d.P95Micros, d.P99Micros, d.QueueP99Micro,
-			d.CacheHitRate*100, d.DegradedRate*100, d.ShedRate*100, d.Errors)
+			d.DegradedRate*100, d.ShedRate*100, d.Errors)
 	}
 }
 
@@ -696,7 +589,7 @@ func printReport(w *os.File, rep report) {
 // baseline, and no device's p99 may rise more than tol above it. Devices
 // present only on one side are ignored (topology changes are not latency
 // regressions). slack is an absolute grace on the p99 comparison: once the
-// warmed path's baseline p99 is a few hundred microseconds, a relative
+// baseline p99 is a few hundred microseconds, a relative
 // tolerance alone trips on pure scheduler jitter (shared boxes swing
 // sub-millisecond quantiles by an order of magnitude run to run), so a rise
 // only fails when it clears both the relative ceiling and baseline+slack.
@@ -769,14 +662,6 @@ type rampReport struct {
 	KneeReason   string     `json:"knee_reason,omitempty"`
 	StepDuration string     `json:"step_duration"`
 	Seed         uint64     `json:"seed"`
-}
-
-// sweepReport pairs the steady-state ramp (primed cache) with the cold-start
-// bound (cacheless server, every request on the pricing path). The gap
-// between the two knees is what the decision cache buys.
-type sweepReport struct {
-	SteadyState *rampReport `json:"steady_state"`
-	ColdStart   *rampReport `json:"cold_start,omitempty"`
 }
 
 // gateKnee enforces -require-knee: a found knee must sit at or above min,
@@ -880,52 +765,8 @@ func printRamp(w *os.File, rr rampReport) {
 // QPS, achieved-vs-offered throughput, and shed/degraded rates over the same
 // axis, stacked so each panel keeps its own honest scale.
 func rampFigure(rr rampReport) (string, error) {
-	panels, err := rampPanels(rr)
-	if err != nil {
-		return "", err
-	}
-	return plot.VStack(panels...)
-}
-
-// sweepFigure is rampFigure plus, when a cold-start sweep ran, a fourth
-// panel contrasting the cacheless server's achieved throughput.
-func sweepFigure(steady rampReport, cold *rampReport) (string, error) {
-	panels, err := rampPanels(steady)
-	if err != nil {
-		return "", err
-	}
-	if cold != nil {
-		x := make([]float64, len(cold.Steps))
-		achieved := make([]float64, len(cold.Steps))
-		for i, st := range cold.Steps {
-			x[i] = float64(st.OfferedQPS)
-			achieved[i] = st.AchievedQPS
-		}
-		title := "Cold start (no cache): no knee up to ramp ceiling"
-		if cold.KneeQPS > 0 {
-			title = fmt.Sprintf("Cold start (no cache): knee at %d qps (%s)", cold.KneeQPS, cold.KneeReason)
-		}
-		p, err := plot.LineChart{
-			Title:   title,
-			XLabel:  "offered QPS",
-			YLabel:  "achieved QPS",
-			X:       x,
-			Series:  []plot.Series{{Name: "achieved (cold)", Y: achieved}, {Name: "offered", Y: x}},
-			Markers: true,
-		}.SVG()
-		if err != nil {
-			return "", err
-		}
-		panels = append(panels, p)
-	}
-	return plot.VStack(panels...)
-}
-
-// rampPanels renders the three per-ramp panels rampFigure and sweepFigure
-// stack.
-func rampPanels(rr rampReport) ([]string, error) {
 	if len(rr.Steps) == 0 {
-		return nil, fmt.Errorf("ramp produced no steps")
+		return "", fmt.Errorf("ramp produced no steps")
 	}
 	x := make([]float64, len(rr.Steps))
 	p99 := make([]float64, len(rr.Steps))
@@ -952,7 +793,7 @@ func rampPanels(rr rampReport) ([]string, error) {
 		Markers: true,
 	}.SVG()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	mid, err := plot.LineChart{
 		Title:   "Throughput: achieved vs offered",
@@ -963,7 +804,7 @@ func rampPanels(rr rampReport) ([]string, error) {
 		Markers: true,
 	}.SVG()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	bottom, err := plot.LineChart{
 		Title:   "Resilience: shed and degraded rates",
@@ -974,7 +815,7 @@ func rampPanels(rr rampReport) ([]string, error) {
 		Markers: true,
 	}.SVG()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	return []string{top, mid, bottom}, nil
+	return plot.VStack(top, mid, bottom)
 }

@@ -65,7 +65,7 @@ func TestShapeStreamDeterminism(t *testing.T) {
 // End-to-end smoke: a short in-process run must deliver every request and
 // produce a coherent report.
 func TestInprocessRun(t *testing.T) {
-	ts, names, err := inprocessServer(false, false, 0)
+	ts, names, err := inprocessServer(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestCompareBaseline(t *testing.T) {
 // figure; with a sub-1.0 achieved threshold and tiny load, the server keeps
 // up, so no knee is expected — the point is the plumbing, not saturation.
 func TestRampAndFigure(t *testing.T) {
-	ts, names, err := inprocessServer(true, false, 0)
+	ts, names, err := inprocessServer(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,23 +270,27 @@ func TestGateKnee(t *testing.T) {
 	}
 }
 
-// With -warm the client primes every (device, shape) of the mix before load
-// starts, and the primed cache answers the whole dataset mix as hits.
+// -warm primes a router's edge cache: once the client has sent every shape
+// of the mix through a one-replica fleet, the whole run is answered from the
+// edge.
 func TestWarmInprocessRun(t *testing.T) {
-	ts, names, err := inprocessServer(false, true, 0)
+	f, err := buildScaleFleet(1, 7, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ts.Close()
+	defer f.Close()
 	cfg := config{
-		url:      ts.URL,
+		url:      f.rts.URL,
 		qps:      400,
 		duration: 250 * time.Millisecond,
-		devices:  names,
 		seed:     7,
 		workers:  8,
 	}
 	if err := warmFastPath(cfg.url, cfg.devices, cfg.mix()); err != nil {
+		t.Fatal(err)
+	}
+	misses0, err := scrapeMetric(cfg.url, "router_edge_cache_misses_total")
+	if err != nil {
 		t.Fatal(err)
 	}
 	rep, err := run(cfg)
@@ -294,36 +298,11 @@ func TestWarmInprocessRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range rep.Devices {
-		if d.Errors != 0 {
-			t.Errorf("%s: %d errors", d.Device, d.Errors)
-		}
-		if d.CacheHitRate < 0.999 {
-			t.Errorf("%s: cache hit rate %.3f after priming, want ~1.0", d.Device, d.CacheHitRate)
-		}
-		if d.DegradedRate != 0 || d.ShedRate != 0 {
-			t.Errorf("%s: degraded %.3f shed %.3f on a primed server", d.Device, d.DegradedRate, d.ShedRate)
+		if d.Errors != 0 || d.DegradedRate != 0 || d.ShedRate != 0 {
+			t.Errorf("%s: %d errors, degraded %.3f, shed %.3f on a primed fleet", d.Device, d.Errors, d.DegradedRate, d.ShedRate)
 		}
 	}
-}
-
-// The sweep figure stacks the steady panels with the cold-start panel.
-func TestSweepFigure(t *testing.T) {
-	steady := rampReport{Steps: []rampStep{
-		{OfferedQPS: 100, AchievedQPS: 100}, {OfferedQPS: 200, AchievedQPS: 199},
-	}}
-	cold := rampReport{KneeQPS: 150, KneeReason: "test", Steps: []rampStep{
-		{OfferedQPS: 100, AchievedQPS: 100}, {OfferedQPS: 200, AchievedQPS: 140},
-	}}
-	svg, err := sweepFigure(steady, &cold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"<svg", "Cold start", "achieved (cold)"} {
-		if !strings.Contains(svg, want) {
-			t.Errorf("sweep figure missing %q", want)
-		}
-	}
-	if _, err := sweepFigure(steady, nil); err != nil {
-		t.Errorf("sweep without cold sweep: %v", err)
+	if misses1, err := scrapeMetric(cfg.url, "router_edge_cache_misses_total"); err != nil || misses1 != misses0 {
+		t.Errorf("edge misses %v -> %v (%v) during the run, want none after priming", misses0, misses1, err)
 	}
 }

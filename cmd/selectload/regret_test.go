@@ -59,7 +59,7 @@ func TestGateRegret(t *testing.T) {
 // End-to-end: a closed-loop in-process server under a short load must export
 // settled sampled-regret series the scraper turns into coherent summaries.
 func TestRegretScrapeInprocess(t *testing.T) {
-	ts, names, err := inprocessServer(false, false, 1)
+	ts, names, err := inprocessServer(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,21 +1,17 @@
 package main
 
-// Scale-out sweep (-scaleout): strong scaling of a sharded selectd fleet
-// behind the consistent-hash router. For each replica count n = 1..N a fresh
-// in-process fleet is built — n stress-mode replicas (modeled on-device
-// pricing cost, tight admission budget, no decision cache, so capacity is
-// pricing-bound and scaling is honest) behind an internal/cluster router —
-// and the same open-loop shape stream is offered at a fixed total rate. The
-// full-service rate (achieved minus degraded and shed) is what sharding
-// buys: a single replica saturates its admission budget and degrades the
-// overflow, while the fleet spreads shards and keeps answers full quality.
+// Scale-out runs (-scaleout): an in-process fleet of selectd replicas, built
+// exactly as selectd serves, behind the consistent-hash router.
 //
-// A final timeline run at the full fleet kills one replica (seed-chosen) at
-// one third of the run and restores it at two thirds, bucketing outcomes
-// over time: the figure shows full-service throughput dipping while the
-// victim's shard fails over and recovering after restore, with zero
-// non-degraded 5xx throughout — the router's availability contract under a
-// real mid-run crash.
+// The timeline run kills one replica (seed-chosen) at one third of the run
+// and restores it at two thirds, bucketing outcomes over time: the figure
+// shows full-service throughput dipping while the victim's shard fails over
+// and recovering after restore, with zero non-degraded 5xx throughout — the
+// router's availability contract under a real mid-run crash.
+//
+// The warmed phase rebuilds the fleet with the router's edge cache on, primes
+// every shape through the router, and measures what the cache-hit path
+// sustains over three offered rates.
 
 import (
 	"bytes"
@@ -46,34 +42,20 @@ import (
 )
 
 type scaleoutConfig struct {
-	replicas  int           // full fleet size (the sweep runs 1..replicas)
-	qps       int           // total offered rate at every replica count
-	duration  time.Duration // per-point measurement window
-	killRun   time.Duration // timeline run length at the full fleet (0 skips)
-	gate      float64       // full-fleet/single-replica full-service ratio floor (0 = no gate)
-	tolerance float64       // relative p99 ceiling for the gate
-	p99Slack  time.Duration // absolute p99 grace for the gate
-	seed      uint64
-	workers   int
+	replicas int           // fleet size
+	qps      int           // offered rate of the kill timeline
+	duration time.Duration // per-step measurement window of the warmed phase
+	killRun  time.Duration // kill timeline run length (0 skips)
+	seed     uint64
+	workers  int
 
-	// Warmed fast-path phase: after the strong-scaling sweep, the full fleet
-	// is rebuilt with the router's edge cache on, the whole shape mix is
-	// warmed through the router, and a 3-step offered sweep measures what
-	// the fast path serves. warmedQPS 0 skips the phase.
+	// Warmed fast-path phase: the fleet is rebuilt with the router's edge
+	// cache on, the whole shape mix is warmed through the router, and a
+	// 3-step offered sweep measures what the fast path serves. warmedQPS 0
+	// skips the phase.
 	warmedQPS  int
 	warmedGate float64       // full-service QPS floor at the top offered step (0 = no gate)
 	warmedP99  time.Duration // p99 ceiling at the top offered step (0 = no gate)
-}
-
-type scalePoint struct {
-	Replicas       int     `json:"replicas"`
-	OfferedQPS     int     `json:"offered_qps"`
-	AchievedQPS    float64 `json:"achieved_qps"`
-	FullServiceQPS float64 `json:"full_service_qps"`
-	P99Micros      int64   `json:"p99_us"`
-	DegradedRate   float64 `json:"degraded_rate"`
-	ShedRate       float64 `json:"shed_rate"`
-	Errors         int     `json:"errors"`
 }
 
 type killBucket struct {
@@ -111,16 +93,15 @@ type warmedReport struct {
 }
 
 type scaleoutReport struct {
-	OfferedQPS   int           `json:"offered_qps"`
-	StepDuration string        `json:"step_duration"`
+	OfferedQPS   int           `json:"offered_qps"`   // kill timeline rate
+	StepDuration string        `json:"step_duration"` // warmed-phase step length
 	Seed         uint64        `json:"seed"`
-	Points       []scalePoint  `json:"points"`
 	Kill         *killReport   `json:"kill,omitempty"`
 	Warmed       *warmedReport `json:"warmed,omitempty"`
 }
 
-// scaleFleet is one in-process fleet: n outage-wrapped stress replicas behind
-// a probing router with a cheap analytical local fallback engine.
+// scaleFleet is one in-process fleet: n outage-wrapped replicas behind a
+// probing router with a local fallback engine.
 type scaleFleet struct {
 	router  *cluster.Router
 	rts     *httptest.Server
@@ -142,23 +123,14 @@ func (f *scaleFleet) Close() {
 	f.local.Close()
 }
 
-// buildScaleFleet trains n identical single-device stress replicas and
-// fronts them with a router whose probe loop runs hot enough to notice a
-// mid-run kill within ~100ms.
+// buildScaleFleet trains n identical single-device replicas with selectd's
+// default options and fronts them with a router whose probe loop runs hot
+// enough to notice a mid-run kill within ~100ms.
 //
-// The replica economics are chosen so the scaling resource is the admission
-// budget, not the CPU: each miss costs 8 configs x 8ms of modeled on-device
-// measurement (a sleep, like real measurement wall-clock), and 8 admission
-// tokens cap full service near 125 decisions/s per replica. Request handling
-// itself is cheap, so the sweep measures how sharding multiplies the
-// budget-bound capacity even on a small host, rather than how many HTTP hops
-// one box can push.
-//
-// edgeCache turns the router's edge cache on. The strong-scaling sweep and
-// the kill timeline keep it off — a cache in front of the replicas would
-// decouple the measured rate from the admission budget and the scaling ratio
-// would stop meaning anything — while the warmed phase turns it on to
-// measure what the cache-hit path itself sustains.
+// edgeCache turns the router's edge cache on. The kill timeline keeps it off,
+// so every request crosses to a replica and the victim's outage shows; the
+// warmed phase turns it on to measure what the cache-hit path itself
+// sustains.
 func buildScaleFleet(n int, seed uint64, edgeCache bool) (*scaleFleet, error) {
 	allShapes, _ := workload.DatasetShapes()
 	configs := gemm.AllConfigs()[:160]
@@ -171,18 +143,7 @@ func buildScaleFleet(n int, seed uint64, edgeCache bool) (*scaleFleet, error) {
 		model := sim.New(spec)
 		ds := dataset.Build(model, trainShapes, configs)
 		lib := core.BuildLibrary(ds, core.DecisionTree{}, core.DecisionTreeSelector{}, 8, seed)
-		srv, err := serve.NewMulti([]serve.Backend{{
-			Device: spec.Name, Lib: lib, Model: model,
-			Pricer: measuredPricer{m: model, cost: 8 * time.Millisecond},
-		}}, serve.Options{
-			MaxInFlight: 8,
-			CacheSize:   -1,
-			WindowSize:  4096,
-		})
-		if err != nil {
-			f.partialClose()
-			return nil, err
-		}
+		srv := serve.New(lib, model, serve.Options{FallbackShapes: allShapes})
 		o := faultinject.NewOutage()
 		ts := httptest.NewServer(o.Middleware(srv.Handler()))
 		f.srvs = append(f.srvs, srv)
@@ -191,9 +152,6 @@ func buildScaleFleet(n int, seed uint64, edgeCache bool) (*scaleFleet, error) {
 		replicas[i] = cluster.NewReplica(fmt.Sprintf("replica-%d", i), ts.URL, nil)
 	}
 
-	// The local fallback prices analytically (no modeled measurement cost):
-	// degraded answers must stay cheap or the fallback would melt under the
-	// very overload that routed traffic to it.
 	model := sim.New(spec)
 	ds := dataset.Build(model, trainShapes, configs)
 	lib := core.BuildLibrary(ds, core.DecisionTree{}, core.DecisionTreeSelector{}, 8, seed)
@@ -204,7 +162,6 @@ func buildScaleFleet(n int, seed uint64, edgeCache bool) (*scaleFleet, error) {
 		Local:         f.local,
 		Retries:       2,
 		RetryBackoff:  2 * time.Millisecond,
-		HedgeDelay:    150 * time.Millisecond, // above the full pricing path: hedge on stragglers, not on every miss
 		ProbeInterval: 100 * time.Millisecond,
 	}
 	if edgeCache {
@@ -234,44 +191,14 @@ func (f *scaleFleet) partialClose() {
 	}
 }
 
-// runScaleout is the -scaleout entry point: sweep replica counts, optionally
-// run the kill timeline, gate, report, render.
+// runScaleout is the -scaleout entry point: run the kill timeline and the
+// warmed phase, gate, report, render.
 func runScaleout(sc scaleoutConfig, jsonPath, figPath string) error {
 	rep := scaleoutReport{
 		OfferedQPS:   sc.qps,
 		StepDuration: sc.duration.String(),
 		Seed:         sc.seed,
 	}
-	for n := 1; n <= sc.replicas; n++ {
-		f, err := buildScaleFleet(n, sc.seed, false)
-		if err != nil {
-			return err
-		}
-		r, err := run(config{
-			url:      f.rts.URL,
-			qps:      sc.qps,
-			duration: sc.duration,
-			seed:     sc.seed,
-			workers:  sc.workers,
-		})
-		f.Close()
-		if err != nil {
-			return err
-		}
-		pt := scalePoint{Replicas: n, OfferedQPS: sc.qps, AchievedQPS: r.AchievedQPS}
-		for _, d := range r.Devices {
-			// Single-device fleet: one report row carries the run.
-			pt.P99Micros = d.P99Micros
-			pt.DegradedRate = d.DegradedRate
-			pt.ShedRate = d.ShedRate
-			pt.Errors = d.Errors
-		}
-		pt.FullServiceQPS = pt.AchievedQPS * (1 - pt.DegradedRate - pt.ShedRate)
-		rep.Points = append(rep.Points, pt)
-		log.Printf("scaleout n=%d: achieved %.1f qps (%.1f full service), p99 %dus, degraded %.2f%%, shed %.2f%%",
-			n, pt.AchievedQPS, pt.FullServiceQPS, pt.P99Micros, pt.DegradedRate*100, pt.ShedRate*100)
-	}
-
 	if sc.killRun > 0 {
 		kr, err := runKillTimeline(sc)
 		if err != nil {
@@ -301,9 +228,6 @@ func runScaleout(sc scaleoutConfig, jsonPath, figPath string) error {
 			return err
 		}
 		log.Printf("wrote %s", figPath)
-	}
-	if sc.gate > 0 && !gateScaleout(os.Stdout, rep, sc) {
-		os.Exit(1)
 	}
 	if sc.warmedGate > 0 && rep.Warmed != nil && !gateWarmed(os.Stdout, rep.Warmed, sc) {
 		os.Exit(1)
@@ -479,10 +403,9 @@ func runWarmedPhase(sc scaleoutConfig) (*warmedReport, error) {
 	}
 	wr := &warmedReport{Replicas: sc.replicas, WarmedShapes: len(shapes)}
 
-	// The sweep's worker floor is sized for 64ms pricing-bound requests; a
-	// cache hit round-trips in well under a millisecond, so the same fleet of
+	// A cache hit round-trips in well under a millisecond, so rate x latency
+	// with generous slack needs only a couple dozen in-flight slots; more
 	// workers would just fight the scheduler and poison the hit-path tail.
-	// rate x latency with generous slack needs only a couple dozen slots.
 	workers := sc.workers
 	if workers > 24 {
 		workers = 24
@@ -524,13 +447,12 @@ func runWarmedPhase(sc scaleoutConfig) (*warmedReport, error) {
 	return wr, nil
 }
 
-// warmFastPath primes a server's caches from the client side: it requests
-// every shape on every device route (none means the default route) until
-// each answers full quality. Degraded answers are never cached, so a warm
-// pass that tolerated them would leave cold entries behind and the measured
-// run would mix pricing misses into the hit-path numbers. It serves the
-// scale-out sweep's router edge cache and selectload -warm's replica cache
-// alike.
+// warmFastPath primes a router's edge cache from the client side: it
+// requests every shape on every device route (none means the default route)
+// until each answers full quality. Degraded answers are never cached, so a
+// warm pass that tolerated them would leave cold entries behind and the
+// measured run would mix upstream round trips into the hit-path numbers. It
+// serves the warmed phase and selectload -warm -url alike.
 func warmFastPath(url string, devices []string, shapes []gemm.Shape) error {
 	if len(devices) == 0 {
 		devices = []string{""}
@@ -586,7 +508,7 @@ func warmShape(client *http.Client, url, device string, s gemm.Shape) error {
 		if resp.StatusCode == http.StatusOK && derr == nil && !d.Degraded {
 			return nil
 		}
-		// Saturated or degraded: the replica's admission budget needs a beat.
+		// Refused or degraded: give the fleet a beat before asking again.
 		time.Sleep(20 * time.Millisecond)
 	}
 	return fmt.Errorf("shape %dx%dx%d never reached full quality during the warm pass", s.M, s.K, s.N)
@@ -641,46 +563,7 @@ func gateWarmed(w *os.File, wr *warmedReport, sc scaleoutConfig) bool {
 	return pass
 }
 
-// gateScaleout enforces the fleet smoke gate: the full fleet must deliver at
-// least gate× one replica's full-service throughput without giving the p99
-// back (ceiling = single-replica p99 stretched by the relative tolerance
-// plus the absolute slack).
-func gateScaleout(w *os.File, rep scaleoutReport, sc scaleoutConfig) bool {
-	if len(rep.Points) < 2 {
-		fmt.Fprintf(w, "FAIL scaleout gate needs at least 2 replica counts, got %d\n", len(rep.Points))
-		return false
-	}
-	one, full := rep.Points[0], rep.Points[len(rep.Points)-1]
-	pass := true
-	ratio := full.FullServiceQPS / one.FullServiceQPS
-	if ratio < sc.gate {
-		pass = false
-		fmt.Fprintf(w, "FAIL %d-replica full-service qps %.1f is %.2fx one replica's %.1f (need %.2fx)\n",
-			full.Replicas, full.FullServiceQPS, ratio, one.FullServiceQPS, sc.gate)
-	} else {
-		fmt.Fprintf(w, "ok   %d-replica full-service qps %.1f is %.2fx one replica's %.1f (need %.2fx)\n",
-			full.Replicas, full.FullServiceQPS, ratio, one.FullServiceQPS, sc.gate)
-	}
-	ceil := float64(one.P99Micros)*(1+sc.tolerance) + float64(sc.p99Slack.Microseconds())
-	if float64(full.P99Micros) > ceil {
-		pass = false
-		fmt.Fprintf(w, "FAIL %d-replica p99 %dus > %.0fus (1-replica p99 %dus + tolerance + slack)\n",
-			full.Replicas, full.P99Micros, ceil, one.P99Micros)
-	} else {
-		fmt.Fprintf(w, "ok   %d-replica p99 %dus within %.0fus of the 1-replica baseline\n",
-			full.Replicas, full.P99Micros, ceil)
-	}
-	return pass
-}
-
 func printScaleout(w *os.File, rep scaleoutReport) {
-	fmt.Fprintf(w, "%-9s %12s %14s %10s %10s %7s %7s\n",
-		"replicas", "achieved", "full_service", "p99(us)", "degraded%", "shed%", "errors")
-	for _, pt := range rep.Points {
-		fmt.Fprintf(w, "%-9d %12.1f %14.1f %10d %9.2f%% %6.2f%% %7d\n",
-			pt.Replicas, pt.AchievedQPS, pt.FullServiceQPS, pt.P99Micros,
-			pt.DegradedRate*100, pt.ShedRate*100, pt.Errors)
-	}
 	if rep.Kill != nil {
 		fmt.Fprintf(w, "kill run (%d replicas): %s killed at %.1fs, restored at %.1fs; bad statuses %d, transport errors %d, reconverged %v\n",
 			rep.Kill.Replicas, rep.Kill.Victim, rep.Kill.KillAtS, rep.Kill.RestoreAtS,
@@ -698,52 +581,10 @@ func printScaleout(w *os.File, rep scaleoutReport) {
 	}
 }
 
-// scaleoutFigure renders fig7: throughput and p99 against replica count, and
-// — when the kill run happened — the failover timeline with the kill and
-// restore instants named in the panel titles.
+// scaleoutFigure renders fig7: the failover timeline, with the kill and
+// restore instants named in the panel titles, and the warmed phase.
 func scaleoutFigure(rep scaleoutReport) (string, error) {
-	if len(rep.Points) == 0 {
-		return "", fmt.Errorf("scaleout produced no points")
-	}
-	x := make([]float64, len(rep.Points))
-	achieved := make([]float64, len(rep.Points))
-	fullSvc := make([]float64, len(rep.Points))
-	ideal := make([]float64, len(rep.Points))
-	p99 := make([]float64, len(rep.Points))
-	for i, pt := range rep.Points {
-		x[i] = float64(pt.Replicas)
-		achieved[i] = pt.AchievedQPS
-		fullSvc[i] = pt.FullServiceQPS
-		ideal[i] = float64(pt.Replicas) * rep.Points[0].FullServiceQPS
-		p99[i] = float64(pt.P99Micros)
-	}
-	top, err := plot.LineChart{
-		Title:  fmt.Sprintf("Scale-out: sharded fleet at %d offered qps", rep.OfferedQPS),
-		XLabel: "replicas",
-		YLabel: "QPS",
-		X:      x,
-		Series: []plot.Series{
-			{Name: "achieved", Y: achieved},
-			{Name: "full service", Y: fullSvc},
-			{Name: "ideal (n x 1-replica)", Y: ideal},
-		},
-		Markers: true,
-	}.SVG()
-	if err != nil {
-		return "", err
-	}
-	mid, err := plot.LineChart{
-		Title:   "p99 latency vs replica count",
-		XLabel:  "replicas",
-		YLabel:  "p99 (us)",
-		X:       x,
-		Series:  []plot.Series{{Name: "p99", Y: p99}},
-		Markers: true,
-	}.SVG()
-	if err != nil {
-		return "", err
-	}
-	panels := []string{top, mid}
+	var panels []string
 	if k := rep.Kill; k != nil && len(k.Buckets) > 0 {
 		tx := make([]float64, len(k.Buckets))
 		ach := make([]float64, len(k.Buckets))
@@ -821,6 +662,9 @@ func scaleoutFigure(rep scaleoutReport) (string, error) {
 			return "", err
 		}
 		panels = append(panels, wt, wl)
+	}
+	if len(panels) == 0 {
+		return "", fmt.Errorf("scaleout produced no runs to plot")
 	}
 	return plot.VStack(panels...)
 }

@@ -1,11 +1,11 @@
 // Command selectrouter fronts a fleet of selectd replicas with
 // failure-domain routing: requests hash onto a consistent ring keyed on
 // (device, shape-bucket), so each replica owns a stable shard of the shape
-// space and keeps a hot decision cache for it. The router retries across the
-// ring's successor order with bounded backoff, launches one cross-shard
-// hedged attempt when the primary is slow (-hedge-delay), and — when every
-// candidate is down — answers degraded from a router-local engine trained
-// in-process, so a priceable shape never sees a 5xx.
+// space. The router retries across the ring's successor order with bounded
+// backoff, launches one cross-shard hedged attempt when the primary is slow
+// (-hedge-delay), and — when every candidate is down — answers degraded from
+// a router-local engine trained in-process, so a priceable shape never sees
+// a 5xx.
 //
 // In front of the routing ladder sits a generation-aware edge cache
 // (-edge-cache): repeat (device, shape) requests are answered from

@@ -117,3 +117,39 @@ func TestBatchClientErrorIsTheAnswer(t *testing.T) {
 		})
 	}
 }
+
+// The router enforces selectd's batch contract itself: each body gets the
+// status and body a bare replica gives it, whether the batch is empty,
+// over the size limit, or fine. The router must refuse an oversized batch
+// before fan-out — each replica sees only its group, so otherwise the
+// refusal would depend on how the shapes hash across the fleet.
+func TestRouterBatchMatchesReplica(t *testing.T) {
+	var oversized strings.Builder
+	oversized.WriteString(`{"shapes":[`)
+	for i := 0; i < 1500; i++ {
+		if i > 0 {
+			oversized.WriteByte(',')
+		}
+		s := fleetShapes[i%len(fleetShapes)]
+		fmt.Fprintf(&oversized, `{"m":%d,"k":%d,"n":%d}`, s.M, s.K, s.N)
+	}
+	oversized.WriteString(`]}`)
+
+	f := newTestFleet(t, 3, Options{HedgeDelay: -1}, serveOptionsForTests(), nil)
+	for _, tc := range []struct{ name, body string }{
+		{"empty shapes", `{"shapes":[]}`},
+		{"no shapes", `{}`},
+		{"1500 shapes", oversized.String()},
+		{"invalid shape", `{"shapes":[{"m":784,"k":1152,"n":256},{"m":0,"k":1,"n":1}]}`},
+		{"unknown device", `{"device":"martian","shapes":[{"m":1,"k":1,"n":1}]}`},
+		{"valid", `{"shapes":[{"m":784,"k":1152,"n":256},{"m":1,"k":4096,"n":1000},{"m":3136,"k":64,"n":64}]}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			status, got := postBatch(t, f.rts.URL, tc.body)
+			wantStatus, want := postBatch(t, f.reps[0].URL, tc.body)
+			if status != wantStatus || !bytes.Equal(got, want) {
+				t.Errorf("router answers %d %.200q, replica %d %.200q", status, got, wantStatus, want)
+			}
+		})
+	}
+}

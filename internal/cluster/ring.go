@@ -1,7 +1,7 @@
 // Package cluster shards a fleet of selectd replicas behind a consistent-hash
-// router. Requests are keyed on (device, shape-bucket) so each shard keeps a
-// hot decision cache for its slice of the shape universe; replica failure
-// re-hashes the shard's traffic onto ring successors, and the router itself
+// router. Requests are keyed on (device, shape-bucket) so each replica owns a
+// stable slice of the shape universe; replica failure re-hashes the shard's
+// traffic onto ring successors, and the router itself
 // carries a local decision engine so a priceable shape is never answered with
 // a 5xx even with every replica down — it degrades to the router-local
 // fallback instead.
@@ -15,11 +15,9 @@ import (
 	"kernelselect/internal/xrand"
 )
 
-// bucketOf quantizes a shape to its log2 bucket triple. Shapes in the same
-// bucket are similar enough that one replica's decision cache and pricing
-// EWMAs serve them all well; quantizing before hashing keeps the keyspace
-// small and stable so a shard's cache stays hot instead of being diluted
-// across the fleet.
+// bucketOf quantizes a shape to its log2 bucket triple. Quantizing before
+// hashing keeps the keyspace small and stable, so similar shapes land on the
+// same replica and a shard's edge-cache entries stay with one owner.
 func bucketOf(shape gemm.Shape) (mb, kb, nb uint64) {
 	return uint64(bits.Len(uint(shape.M))), uint64(bits.Len(uint(shape.K))), uint64(bits.Len(uint(shape.N)))
 }

@@ -365,27 +365,21 @@ func errorBody(msg string) []byte {
 // fallback answers from the router-local engine, stamped degraded with reason
 // replica_down. This is the no-5xx backstop: a priceable shape always gets a
 // usable (if conservative) configuration even with the whole fleet dark.
-func (r *Router) fallback(ctx context.Context, device string, shape gemm.Shape) (int, []byte, http.Header) {
-	d, err := r.local.Decide(ctx, device, shape)
+func (r *Router) fallback(device string, shape gemm.Shape) (int, []byte) {
+	d, err := r.local.Decide(device, shape)
 	if err != nil {
-		if ctx.Err() != nil {
-			h := http.Header{}
-			h.Set("Retry-After", "1")
-			return http.StatusServiceUnavailable, errorBody("deadline exceeded"), h
-		}
 		// Unpriceable: unknown device or invalid shape — a client error on
 		// any topology, single replica or fleet.
-		return http.StatusBadRequest, errorBody(err.Error()), nil
+		return http.StatusBadRequest, errorBody(err.Error())
 	}
 	d.Degraded = true
 	d.DegradedReason = "replica_down"
-	d.Cached = false
 	r.metrics.fallbacks.Add(1)
 	b, err := json.Marshal(d)
 	if err != nil {
-		return http.StatusBadRequest, errorBody(err.Error()), nil
+		return http.StatusBadRequest, errorBody(err.Error())
 	}
-	return http.StatusOK, b, nil
+	return http.StatusOK, b
 }
 
 // cacheFillBody stamps and caches one passthrough replica body: the
@@ -409,7 +403,7 @@ func (r *Router) cacheFillBody(device string, shape gemm.Shape, rep, status int,
 // route answers one select request through the full ladder: consistent-hash
 // candidates, liveness filter, retry+hedge, local degraded fallback.
 // Successful full-quality answers refill the edge cache on the way out.
-func (r *Router) route(ctx context.Context, device string, shape gemm.Shape) (int, []byte, http.Header) {
+func (r *Router) route(ctx context.Context, device string, shape gemm.Shape) (int, []byte) {
 	alive := r.routable(r.ring.candidates(device, shape))
 	if res, ok := r.tryReplicas(ctx, alive, device, shape); ok {
 		r.metrics.wins[res.idx].Add(1)
@@ -417,9 +411,9 @@ func (r *Router) route(ctx context.Context, device string, shape gemm.Shape) (in
 			r.metrics.hedgeWins.Add(1)
 		}
 		r.cacheFillBody(device, shape, res.idx, res.status, res.body)
-		return res.status, res.body, nil
+		return res.status, res.body
 	}
-	return r.fallback(ctx, device, shape)
+	return r.fallback(device, shape)
 }
 
 // selectBufPool holds per-request scratch for the select proxy loop: the
@@ -440,7 +434,7 @@ func (r *Router) handleSelect(w http.ResponseWriter, req *http.Request) {
 	body, err := serve.ReadRequestBody(w, req, (*bp)[:0])
 	*bp = body[:0]
 	if err != nil {
-		r.writeResponse(w, "select", http.StatusBadRequest, errorBody(err.Error()), nil)
+		r.writeResponse(w, "select", http.StatusBadRequest, errorBody(err.Error()))
 		return
 	}
 	var shape gemm.Shape
@@ -453,14 +447,14 @@ func (r *Router) handleSelect(w http.ResponseWriter, req *http.Request) {
 		// semantics the router has always had for passthrough requests.
 		var sr selectShape
 		if err := json.Unmarshal(body, &sr); err != nil {
-			r.writeResponse(w, "select", http.StatusBadRequest, errorBody(err.Error()), nil)
+			r.writeResponse(w, "select", http.StatusBadRequest, errorBody(err.Error()))
 			return
 		}
 		shape = gemm.Shape{M: sr.M, K: sr.K, N: sr.N}
 		deviceB = []byte(sr.Device)
 	}
 	if err := shape.Validate(); err != nil {
-		r.writeResponse(w, "select", http.StatusBadRequest, errorBody(err.Error()), nil)
+		r.writeResponse(w, "select", http.StatusBadRequest, errorBody(err.Error()))
 		return
 	}
 	if r.edge != nil {
@@ -473,17 +467,12 @@ func (r *Router) handleSelect(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	status, out, hdr := r.route(req.Context(), string(deviceB), shape)
-	r.writeResponse(w, "select", status, out, hdr)
+	status, out := r.route(req.Context(), string(deviceB), shape)
+	r.writeResponse(w, "select", status, out)
 }
 
 // writeResponse commits one response and counts it once.
-func (r *Router) writeResponse(w http.ResponseWriter, endpoint string, status int, body []byte, hdr http.Header) {
-	for k, vs := range hdr {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
+func (r *Router) writeResponse(w http.ResponseWriter, endpoint string, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(body)
@@ -498,6 +487,7 @@ func (r *Router) writeResponse(w http.ResponseWriter, endpoint string, status in
 // candidate list on failure), and shapes whose candidates are all down get
 // individual local fallback answers. Results return in request order. A
 // client error is the whole batch's answer, as it is from a single selectd:
+// a batch selectd would refuse for its size is refused here before fan-out,
 // a replica's 4xx other than 429 passes through verbatim, and a shape the
 // local fallback cannot answer fails the batch with the fallback's status.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
@@ -507,14 +497,20 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		err = json.Unmarshal(body, &br)
 	}
 	if err != nil {
-		r.writeResponse(w, "batch", http.StatusBadRequest, errorBody(err.Error()), nil)
+		r.writeResponse(w, "batch", http.StatusBadRequest, errorBody(err.Error()))
+		return
+	}
+	// Each replica sees only its group of shapes, so an empty or oversized
+	// batch would otherwise pass or fail depending on how its shapes hash.
+	if err := serve.CheckBatchSize(len(br.Shapes)); err != nil {
+		r.writeResponse(w, "batch", http.StatusBadRequest, errorBody(err.Error()))
 		return
 	}
 	shapes := make([]gemm.Shape, len(br.Shapes))
 	for i, s := range br.Shapes {
 		shapes[i] = gemm.Shape{M: s.M, K: s.K, N: s.N}
 		if err := shapes[i].Validate(); err != nil {
-			r.writeResponse(w, "batch", http.StatusBadRequest, errorBody(fmt.Sprintf("shape %d: %v", i, err)), nil)
+			r.writeResponse(w, "batch", http.StatusBadRequest, errorBody(fmt.Sprintf("shape %d: %v", i, err)))
 			return
 		}
 	}
@@ -537,18 +533,17 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	// The first failure recorded is the batch's response.
 	var failStatus int
 	var failBody []byte
-	var failHdr http.Header
-	fail := func(status int, body []byte, hdr http.Header) {
+	fail := func(status int, body []byte) {
 		mu.Lock()
 		if failStatus == 0 {
-			failStatus, failBody, failHdr = status, body, hdr
+			failStatus, failBody = status, body
 		}
 		mu.Unlock()
 	}
 	fallbackOne := func(i int) {
-		status, out, hdr := r.fallback(req.Context(), br.Device, shapes[i])
+		status, out := r.fallback(br.Device, shapes[i])
 		if status != http.StatusOK {
-			fail(status, out, hdr)
+			fail(status, out)
 			return
 		}
 		var d serve.Decision
@@ -580,7 +575,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 					if errors.As(err, &se) && clientError(se.status) {
 						// The request itself is bad (unknown device, too many
 						// shapes): every candidate would refuse it alike.
-						fail(se.status, se.body, nil)
+						fail(se.status, se.body)
 						return
 					}
 					r.noteBatchError(req.Context(), idx, err)
@@ -605,13 +600,13 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	}
 	wg.Wait()
 	if failStatus != 0 {
-		r.writeResponse(w, "batch", failStatus, failBody, failHdr)
+		r.writeResponse(w, "batch", failStatus, failBody)
 		return
 	}
 
 	bp := selectBufPool.Get().(*[]byte)
 	out := serve.AppendBatchJSON((*bp)[:0], results)
-	r.writeResponse(w, "batch", http.StatusOK, out, nil)
+	r.writeResponse(w, "batch", http.StatusOK, out)
 	*bp = out[:0]
 	selectBufPool.Put(bp)
 }
@@ -646,7 +641,7 @@ const maxBody = 1 << 20
 
 func (r *Router) handleClusterGet(w http.ResponseWriter, _ *http.Request) {
 	b, _ := json.Marshal(r.View())
-	r.writeResponse(w, "cluster", http.StatusOK, b, nil)
+	r.writeResponse(w, "cluster", http.StatusOK, b)
 }
 
 func (r *Router) handleClusterPost(w http.ResponseWriter, req *http.Request) {
@@ -656,7 +651,7 @@ func (r *Router) handleClusterPost(w http.ResponseWriter, req *http.Request) {
 		err = json.Unmarshal(body, &v)
 	}
 	if err != nil {
-		r.writeResponse(w, "cluster", http.StatusBadRequest, errorBody(err.Error()), nil)
+		r.writeResponse(w, "cluster", http.StatusBadRequest, errorBody(err.Error()))
 		return
 	}
 	adopted := r.health.merge(v)
@@ -664,7 +659,7 @@ func (r *Router) handleClusterPost(w http.ResponseWriter, req *http.Request) {
 	b, _ := json.Marshal(struct {
 		Adopted int `json:"adopted"`
 	}{Adopted: adopted})
-	r.writeResponse(w, "cluster", http.StatusOK, b, nil)
+	r.writeResponse(w, "cluster", http.StatusOK, b)
 }
 
 // reloadSummary is the router's POST /v1/reload body: one entry per replica
@@ -686,7 +681,7 @@ func (r *Router) handleReload(w http.ResponseWriter, req *http.Request) {
 		err = json.Unmarshal(body, &rr)
 	}
 	if err != nil {
-		r.writeResponse(w, "reload", http.StatusBadRequest, errorBody(err.Error()), nil)
+		r.writeResponse(w, "reload", http.StatusBadRequest, errorBody(err.Error()))
 		return
 	}
 	targets := make([]int, 0, len(r.replicas))
@@ -699,7 +694,7 @@ func (r *Router) handleReload(w http.ResponseWriter, req *http.Request) {
 			}
 		}
 		if found < 0 {
-			r.writeResponse(w, "reload", http.StatusBadRequest, errorBody(fmt.Sprintf("unknown replica %q", rr.Replica)), nil)
+			r.writeResponse(w, "reload", http.StatusBadRequest, errorBody(fmt.Sprintf("unknown replica %q", rr.Replica)))
 			return
 		}
 		targets = append(targets, found)
@@ -727,13 +722,12 @@ func (r *Router) handleReload(w http.ResponseWriter, req *http.Request) {
 	if failed {
 		code = http.StatusBadGateway
 	}
-	r.writeResponse(w, "reload", code, out, nil)
+	r.writeResponse(w, "reload", code, out)
 }
 
 // reloadReplica rolls one replica onto a fresh generation: the replica leaves
 // rotation (state warming, so its shards re-hash to successors), reloads, has
-// its edge-cache generation register advanced, and cuts back in. The new
-// generation's decision cache starts empty and fills on first touch.
+// its edge-cache generation register advanced, and cuts back in.
 func (r *Router) reloadReplica(ctx context.Context, idx int, device string) reloadSummary {
 	rep := r.replicas[idx]
 	sum := reloadSummary{Replica: rep.Name, Device: device}

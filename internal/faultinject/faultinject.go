@@ -1,9 +1,9 @@
 // Package faultinject is a deterministic, seed-driven fault injector for the
-// serving runtime's chaos suite. It wraps the pricing seam (latency spikes
-// and pricing errors) and the HTTP layer (mid-request context cancellation)
-// so tests can drive the server through overload, failure and reload races
-// and assert the resilience invariants: no panics, no degraded or aborted
-// decision cached, budgets conserved, responses internally consistent.
+// serving runtime's chaos suite. It wraps the HTTP layer — latency spikes,
+// injected 503s and mid-request context cancellation — so tests can drive a
+// server or a fleet through overload, failure and reload races and assert
+// the resilience invariants: no panics, budgets conserved, responses
+// internally consistent, no 5xx past the cluster router.
 //
 // Determinism: every injection decision is a pure function of (seed, fault
 // kind, event index), where the event index is a per-injector atomic
@@ -15,23 +15,17 @@ package faultinject
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"sync/atomic"
 	"time"
 
-	"kernelselect/internal/gemm"
 	"kernelselect/internal/xrand"
 )
 
-// ErrInjected is the pricing failure the injector returns; the serving layer
-// treats it like any other pricing error (degrade + circuit breaker).
-var ErrInjected = errors.New("faultinject: injected pricing failure")
-
-// Options set the per-call fault probabilities. Zero values inject nothing.
+// Options set the per-request fault probabilities. Zero values inject nothing.
 type Options struct {
-	PriceError   float64       // probability a pricing call fails with ErrInjected
-	Spike        float64       // probability a pricing call sleeps before answering
+	Error        float64       // probability the middleware answers 503 (with Retry-After) before the handler runs
+	Spike        float64       // probability the middleware delays a request before the handler runs
 	SpikeMax     time.Duration // spike duration upper bound; default 1ms
 	Cancel       float64       // probability the HTTP middleware cancels the request mid-flight
 	CancelMax    time.Duration // cancel delay upper bound; default 500µs
@@ -102,7 +96,7 @@ func (in *Injector) Stats() Stats {
 // FailRetrain reports whether the current shadow-retrain attempt should fail,
 // per the seed's schedule. The chaos suite wires it into a RetrainFunc so the
 // retrain-error path (counted, never promoted, never serving) is exercised
-// deterministically alongside the pricing faults.
+// deterministically alongside the request faults.
 func (in *Injector) FailRetrain() bool {
 	if f, _ := in.roll(kindRetrain); f < in.opts.RetrainError {
 		in.retrains.Add(1)
@@ -111,58 +105,31 @@ func (in *Injector) FailRetrain() bool {
 	return false
 }
 
-// Pricer is the pricing seam the injector wraps — structurally identical to
-// the serving layer's Pricer interface, declared here so the package depends
-// only on the shape/config types.
-type Pricer interface {
-	PriceGFLOPS(ctx context.Context, cfg gemm.Config, s gemm.Shape) (float64, error)
-}
-
-// PricerFunc adapts a plain pricing function (e.g. a closure over
-// (*sim.Model).GFLOPS) to the Pricer seam.
-type PricerFunc func(ctx context.Context, cfg gemm.Config, s gemm.Shape) (float64, error)
-
-func (f PricerFunc) PriceGFLOPS(ctx context.Context, cfg gemm.Config, s gemm.Shape) (float64, error) {
-	return f(ctx, cfg, s)
-}
-
-// Pricer wraps inner with the injector's spike and error schedule. Spikes
-// respect the request context: a deadline that expires mid-spike surfaces as
-// the context's error, exactly like a slow real pricing.
-func (in *Injector) Pricer(inner Pricer) Pricer {
-	return &faultyPricer{in: in, inner: inner}
-}
-
-type faultyPricer struct {
-	in    *Injector
-	inner Pricer
-}
-
-func (p *faultyPricer) PriceGFLOPS(ctx context.Context, cfg gemm.Config, s gemm.Shape) (float64, error) {
-	if f, h := p.in.roll(kindSpike); f < p.in.opts.Spike {
-		p.in.spikes.Add(1)
-		d := time.Duration(h%uint64(p.in.opts.SpikeMax)) + 1
-		t := time.NewTimer(d)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return 0, ctx.Err()
-		}
-	}
-	if f, _ := p.in.roll(kindError); f < p.in.opts.PriceError {
-		p.in.errs.Add(1)
-		return 0, ErrInjected
-	}
-	return p.inner.PriceGFLOPS(ctx, cfg, s)
-}
-
-// Middleware wraps an HTTP handler: selected requests get a context that is
-// cancelled a deterministic delay into the request, simulating clients that
-// hang up mid-flight. The serving layer must answer such requests without
-// caching their aborted decisions.
+// Middleware wraps an HTTP handler with the request faults, drawn in a fixed
+// order per request. A spike delays the request, cut short if its context
+// dies first. An error answers 503 with Retry-After before the handler runs,
+// as a saturated or failing server would. A cancellation hands the handler a
+// context that is cancelled a deterministic delay into the request,
+// simulating a client that hangs up mid-flight.
 func (in *Injector) Middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if f, h := in.roll(kindSpike); f < in.opts.Spike {
+			in.spikes.Add(1)
+			t := time.NewTimer(time.Duration(h%uint64(in.opts.SpikeMax)) + 1)
+			select {
+			case <-t.C:
+			case <-r.Context().Done():
+				t.Stop()
+			}
+		}
+		if f, _ := in.roll(kindError); f < in.opts.Error {
+			in.errs.Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			w.Write([]byte(`{"error":"faultinject: injected failure"}` + "\n"))
+			return
+		}
 		if f, h := in.roll(kindCancel); f < in.opts.Cancel {
 			in.cancels.Add(1)
 			ctx, cancel := context.WithCancel(r.Context())

@@ -2,41 +2,44 @@ package faultinject
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
-
-	"kernelselect/internal/gemm"
 )
 
-// okPricer answers every pricing with a fixed value.
-var okPricer = PricerFunc(func(context.Context, gemm.Config, gemm.Shape) (float64, error) {
-	return 100, nil
+// okHandler answers every request 200 with a fixed body.
+var okHandler = http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	w.Write([]byte("ok"))
 })
 
+// serve sends one request through h and returns the recorded response.
+func serve(h http.Handler, r *http.Request) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, r)
+	return rec
+}
+
 func callPattern(seed uint64, opts Options, n int) []bool {
-	in := New(seed, opts)
-	p := in.Pricer(okPricer)
+	h := New(seed, opts).Middleware(okHandler)
 	pattern := make([]bool, n)
 	for i := range pattern {
-		_, err := p.PriceGFLOPS(context.Background(), gemm.Config{}, gemm.Shape{M: 1, K: 1, N: 1})
-		pattern[i] = err != nil
+		rec := serve(h, httptest.NewRequest(http.MethodPost, "/v1/select", nil))
+		pattern[i] = rec.Code != http.StatusOK
 	}
 	return pattern
 }
 
 // The fault schedule must be a pure function of the seed: two sequential
-// runs agree call-for-call, and a different seed produces a different
+// runs agree request-for-request, and a different seed produces a different
 // schedule.
 func TestDeterministicSchedule(t *testing.T) {
-	opts := Options{PriceError: 0.3}
+	opts := Options{Error: 0.3}
 	a := callPattern(7, opts, 200)
 	b := callPattern(7, opts, 200)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at call %d", i)
+			t.Fatalf("same seed diverged at request %d", i)
 		}
 	}
 	c := callPattern(8, opts, 200)
@@ -48,25 +51,39 @@ func TestDeterministicSchedule(t *testing.T) {
 		}
 	}
 	if same {
-		t.Fatal("different seeds produced an identical 200-call schedule")
+		t.Fatal("different seeds produced an identical 200-request schedule")
 	}
 }
 
+// An injected error is a 503 with Retry-After that never reaches the
+// handler; every other request passes through untouched.
 func TestErrorRateAndStats(t *testing.T) {
-	in := New(42, Options{PriceError: 0.25})
-	p := in.Pricer(okPricer)
+	in := New(42, Options{Error: 0.25})
+	reached := 0
+	h := in.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		reached++
+		okHandler(w, r)
+	}))
 	const n = 2000
 	fails := 0
 	for i := 0; i < n; i++ {
-		v, err := p.PriceGFLOPS(context.Background(), gemm.Config{}, gemm.Shape{M: 1, K: 1, N: 1})
-		if err != nil {
-			if !errors.Is(err, ErrInjected) {
-				t.Fatalf("unexpected error type: %v", err)
+		rec := serve(h, httptest.NewRequest(http.MethodPost, "/v1/select", nil))
+		switch rec.Code {
+		case http.StatusServiceUnavailable:
+			if rec.Header().Get("Retry-After") == "" {
+				t.Fatal("injected 503 carries no Retry-After")
 			}
 			fails++
-		} else if v != 100 {
-			t.Fatalf("passthrough value %v, want 100", v)
+		case http.StatusOK:
+			if rec.Body.String() != "ok" {
+				t.Fatalf("passthrough body %q, want ok", rec.Body)
+			}
+		default:
+			t.Fatalf("unexpected status %d", rec.Code)
 		}
+	}
+	if reached != n-fails {
+		t.Fatalf("handler ran %d times for %d passthrough requests", reached, n-fails)
 	}
 	if got := in.Stats().Errors; got != uint64(fails) {
 		t.Fatalf("stats count %d, observed %d failures", got, fails)
@@ -79,10 +96,10 @@ func TestErrorRateAndStats(t *testing.T) {
 
 func TestZeroOptionsInjectNothing(t *testing.T) {
 	in := New(1, Options{})
-	p := in.Pricer(okPricer)
+	h := in.Middleware(okHandler)
 	for i := 0; i < 500; i++ {
-		if _, err := p.PriceGFLOPS(context.Background(), gemm.Config{}, gemm.Shape{M: 1, K: 1, N: 1}); err != nil {
-			t.Fatalf("zero-probability injector failed call %d: %v", i, err)
+		if rec := serve(h, httptest.NewRequest(http.MethodPost, "/v1/select", nil)); rec.Code != http.StatusOK {
+			t.Fatalf("zero-probability injector failed request %d: status %d", i, rec.Code)
 		}
 	}
 	if s := in.Stats(); s != (Stats{}) {
@@ -135,16 +152,15 @@ func TestFailRetrainDeterministicAndCounted(t *testing.T) {
 // A spike must yield to an already-dead context instead of sleeping it out.
 func TestSpikeRespectsContext(t *testing.T) {
 	in := New(3, Options{Spike: 1, SpikeMax: time.Minute})
-	p := in.Pricer(okPricer)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := p.PriceGFLOPS(ctx, gemm.Config{}, gemm.Shape{M: 1, K: 1, N: 1})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
+	rec := serve(in.Middleware(okHandler), httptest.NewRequest(http.MethodPost, "/v1/select", nil).WithContext(ctx))
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("spike ignored dead context for %v", elapsed)
+	}
+	if rec.Code != http.StatusOK || in.Stats().Spikes != 1 {
+		t.Fatalf("status %d, spikes %d; want the request passed on after its spike", rec.Code, in.Stats().Spikes)
 	}
 }
 

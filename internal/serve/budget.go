@@ -8,33 +8,27 @@ import (
 )
 
 // backend is one device's serving state. The swappable artifact state
-// (library, pricer, cache, fallback) lives in the generation behind the
-// atomic pointer; everything else — admission budget, latency EWMAs, shed
-// and degradation counters, circuit breaker — describes the device itself
-// and survives reloads.
+// (library, chooser, rendered strings, fallback) lives in the generation
+// behind the atomic pointer; everything else — admission budget, latency
+// EWMA, shed and degradation counters — describes the device itself and
+// survives reloads.
 type backend struct {
-	name   string
-	custom Pricer // non-nil when the Backend supplied its own pricer; kept across reloads
-	gen    atomic.Pointer[generation]
+	name string
+	gen  atomic.Pointer[generation]
 
 	// Admission budget: a token channel of budgetCap slots. One token per
-	// select/batch request; exhaustion degrades to the fallback config
-	// instead of queueing or erroring.
+	// batch request; exhaustion degrades to the fallback config instead of
+	// queueing or erroring.
 	budget    chan struct{}
 	budgetCap int
 
 	inflight atomic.Int64
 	shed     atomic.Uint64
-	degraded [numReasons]atomic.Uint64
+	degraded atomic.Uint64 // decisions answered with the fallback config (reason budget)
 
-	// latencyEWMA tracks full-service request latency (float64 nanosecond
+	// latencyEWMA tracks full-service batch latency (float64 nanosecond
 	// bits); the load-aware shed threshold compares against it.
-	// computeEWMA tracks only cache-miss pricing passes: the estimate for
-	// "is the remaining deadline long enough to price the library?".
 	latencyEWMA atomic.Uint64
-	computeEWMA atomic.Uint64
-
-	breaker breaker
 
 	// Closed-loop state (regret.go, window.go, retrain.go). Like the budget
 	// and EWMAs it describes the device's live traffic, not the artifact, so
@@ -59,13 +53,6 @@ type backend struct {
 	retrainRejected atomic.Uint64
 	retrainErrors   atomic.Uint64
 	fallbackUpdates atomic.Uint64 // online fallback-config swaps
-
-	// Cumulative bases for counters that otherwise reset with each
-	// generation: Reload folds the displaced generation's cache hit/miss
-	// counts into the bases, so the rendered Prometheus counters stay
-	// monotonic across swaps.
-	cacheHitsBase   atomic.Uint64
-	cacheMissesBase atomic.Uint64
 
 	// reloadCall coalesces concurrent POST /v1/reload requests for this
 	// backend: overlapping requests ride the leader's source read + swap and
@@ -162,118 +149,10 @@ func ewmaValue(a *atomic.Uint64) time.Duration {
 	return time.Duration(math.Float64frombits(b))
 }
 
-// degradeReason enumerates why a request was answered with the fallback
-// config instead of a full selection; it labels selectd_degraded_total.
-type degradeReason int
-
-const (
-	reasonBudget   degradeReason = iota // admission budget exhausted
-	reasonDeadline                      // remaining deadline shorter than a pricing pass
-	reasonBreaker                       // circuit breaker open
-	reasonError                         // pricing failed on this request
-	numReasons
-)
-
-var reasonNames = [numReasons]string{"budget", "deadline", "breaker", "error"}
-
-// breakerState is the circuit breaker's tri-state.
-type breakerState int
-
-const (
-	breakerClosed breakerState = iota
-	breakerHalfOpen
-	breakerOpen
-)
-
-func (s breakerState) String() string {
-	switch s {
-	case breakerClosed:
-		return "closed"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "open"
-	}
-}
-
-// breaker trips a backend to fallback-only service after `threshold`
-// consecutive pricing failures, and half-opens after `cooldown`: one trial
-// request is let through; success closes the breaker, failure re-opens it.
-// Context aborts are not failures — a starved deadline says nothing about
-// the pricing path — so trials that die to a deadline just release the trial
-// slot (onAbort).
-type breaker struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-	state     breakerState
-	fails     int
-	openedAt  time.Time
-	trial     bool // a half-open trial request is in flight
-	trips     uint64
-}
-
-// allow reports whether a full-service attempt may proceed at `now`.
-func (b *breaker) allow(now time.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		if now.Sub(b.openedAt) >= b.cooldown {
-			b.state = breakerHalfOpen
-			b.trial = true
-			return true
-		}
-		return false
-	default: // half-open: one trial at a time
-		if b.trial {
-			return false
-		}
-		b.trial = true
-		return true
-	}
-}
-
-func (b *breaker) onSuccess() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.state = breakerClosed
-	b.fails = 0
-	b.trial = false
-}
-
-func (b *breaker) onFailure(now time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.fails++
-	wasTrial := b.state == breakerHalfOpen
-	b.trial = false
-	if wasTrial || b.fails >= b.threshold {
-		if b.state != breakerOpen {
-			b.trips++
-		}
-		b.state = breakerOpen
-		b.openedAt = now
-		b.fails = 0
-	}
-}
-
-// onAbort releases a trial slot without judging the pricing path (the
-// request died to its deadline, not to a pricing failure).
-func (b *breaker) onAbort() {
-	b.mu.Lock()
-	b.trial = false
-	b.mu.Unlock()
-}
-
-// snapshot reports the state and trip count for metrics and healthz.
-func (b *breaker) snapshot() (breakerState, uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state, b.trips
-}
+// reasonBudget labels a decision answered with the fallback config because
+// its batch found the backend's admission budget exhausted — the one degrade
+// reason, since nothing on the decision path itself can block or fail.
+const reasonBudget = "budget"
 
 // BudgetsQuiesced reports whether every backend's admission budget is fully
 // replenished and its in-flight gauge has returned to zero — true once all

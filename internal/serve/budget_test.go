@@ -11,14 +11,13 @@ import (
 )
 
 // TestPerBackendBudgetIsolation is the acceptance check for admission
-// isolation: with one device's budget fully saturated (100% of its uncached
-// traffic degraded to the fallback), the other device must keep serving
-// every request at full quality — the per-request service level that
-// determines its throughput is identical to its unloaded baseline. The
-// assertion is functional rather than wall-clock (CI timing is noisy): a
-// backend whose every request is full-service does the same work per request
-// as in the baseline phase, and the saturated device consumes none of its
-// tokens.
+// isolation: with one device's budget fully saturated (100% of its batches
+// degraded to the fallback), the other device must keep serving every batch
+// at full quality — the per-request service level that determines its
+// throughput is identical to its unloaded baseline. The assertion is
+// functional rather than wall-clock (CI timing is noisy): a backend whose
+// every request is full-service does the same work per request as in the
+// baseline phase, and the saturated device consumes none of its tokens.
 func TestPerBackendBudgetIsolation(t *testing.T) {
 	srv, ts := multiTestServer(t, Options{MaxInFlight: 8})
 	nano, gen9 := srv.backends[0], srv.backends[1]
@@ -28,19 +27,22 @@ func TestPerBackendBudgetIsolation(t *testing.T) {
 
 	query := func(dev string, m int) Decision {
 		t.Helper()
-		return decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select",
-			shapeRequest{M: m, K: 33, N: 65, Device: dev}))
+		br := decodeResp[batchResponse](t, postJSON(t, ts.URL+"/v1/select/batch",
+			batchRequest{Device: dev, Shapes: []batchShape{{M: m, K: 33, N: 65}}}))
+		if len(br.Results) != 1 {
+			t.Fatalf("%d results for a one-shape batch", len(br.Results))
+		}
+		return br.Results[0]
 	}
 
-	// Baseline: gen9 unloaded, every distinct (uncached) shape full service.
+	// Baseline: gen9 unloaded, every batch full service.
 	for i := 0; i < 20; i++ {
 		if d := query(gen9.name, 100+i); d.Degraded {
 			t.Fatalf("baseline gen9 request %d degraded: %+v", i, d)
 		}
 	}
 
-	// Saturate nano to 100%: every token held, so all its uncached traffic
-	// degrades.
+	// Saturate nano to 100%: every token held, so all its batches degrade.
 	var releases []func()
 	for {
 		rel, ok := nano.acquire()
@@ -60,8 +62,8 @@ func TestPerBackendBudgetIsolation(t *testing.T) {
 		}
 	}
 
-	// Isolation: gen9's service level is unchanged — 100% full service on
-	// fresh shapes, zero sheds, zero degradations.
+	// Isolation: gen9's service level is unchanged — 100% full service,
+	// zero sheds, zero degradations.
 	for i := 0; i < 20; i++ {
 		if d := query(gen9.name, 300+i); d.Degraded {
 			t.Fatalf("gen9 request %d degraded while nano saturated: %+v", i, d)
@@ -70,12 +72,10 @@ func TestPerBackendBudgetIsolation(t *testing.T) {
 	if got := gen9.shed.Load(); got != 0 {
 		t.Errorf("gen9 shed %d requests", got)
 	}
-	for r := range gen9.degraded {
-		if got := gen9.degraded[r].Load(); got != 0 {
-			t.Errorf("gen9 degraded(%s) = %d, want 0", reasonNames[r], got)
-		}
+	if got := gen9.degraded.Load(); got != 0 {
+		t.Errorf("gen9 degraded = %d, want 0", got)
 	}
-	if got := nano.degraded[reasonBudget].Load(); got != 20 {
+	if got := nano.degraded.Load(); got != 20 {
 		t.Errorf("nano degraded(budget) = %d, want 20", got)
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -22,16 +21,16 @@ import (
 )
 
 // TestChaos drives a two-device server through seed-determined latency
-// spikes, pricing errors, mid-request client cancellations, and concurrent
+// spikes, injected 503s, mid-request client cancellations, and concurrent
 // hot reloads, then audits the resilience invariants:
 //
 //   - no panics and no unexplained statuses (only 200, 429, 503);
 //   - every 200 response is internally consistent: its config sits at its
-//     index in the library of the generation stamped on it;
-//   - degraded responses name a reason; cached responses are never degraded;
-//   - no degraded or aborted decision ends up in any cache — every cached
-//     entry is full-quality, priced, and from the serving generation;
-//   - admission budgets are conserved once traffic quiesces.
+//     index in the library of the generation stamped on it, and a
+//     full-quality answer agrees with that library's interpreted selector;
+//   - degraded responses name a reason;
+//   - admission budgets are conserved once traffic quiesces;
+//   - the injector actually fired.
 //
 // The seed count comes from CHAOS_SEEDS (default 4); `make chaos` runs a
 // wider sweep under -race. A failing seed reproduces with
@@ -64,15 +63,15 @@ func TestChaos(t *testing.T) {
 
 func chaosRun(t *testing.T, seed uint64) {
 	inj := faultinject.New(seed, faultinject.Options{
-		PriceError: 0.003,
-		Spike:      0.02,
-		SpikeMax:   100 * time.Microsecond,
-		Cancel:     0.08,
-		CancelMax:  300 * time.Microsecond,
+		Error:     0.02,
+		Spike:     0.02,
+		SpikeMax:  100 * time.Microsecond,
+		Cancel:    0.08,
+		CancelMax: 300 * time.Microsecond,
 	})
 
 	// Two backends, each with an A and a B library to reload between; the
-	// injector wraps every backend's pricing seam.
+	// injector wraps the server's HTTP surface.
 	type chaosBackend struct {
 		name string
 		libA *core.Library
@@ -85,20 +84,12 @@ func chaosRun(t *testing.T, seed uint64) {
 		ds := dataset.Build(model, reloadShapes, gemm.AllConfigs()[:120])
 		libA := core.BuildLibrary(ds, core.DecisionTree{}, core.DecisionTreeSelector{}, 6, 42)
 		libB := core.BuildLibrary(ds, core.DecisionTree{}, core.DecisionTreeSelector{}, 4, 42)
-		m := model
-		pricer := inj.Pricer(faultinject.PricerFunc(
-			func(_ context.Context, cfg gemm.Config, s gemm.Shape) (float64, error) {
-				return m.GFLOPS(cfg, s), nil
-			}))
 		cbs = append(cbs, chaosBackend{name: spec.Name, libA: libA, libB: libB})
-		backends = append(backends, Backend{Device: spec.Name, Lib: libA, Model: model, Pricer: pricer})
+		backends = append(backends, Backend{Device: spec.Name, Lib: libA, Model: model})
 	}
 	srv, err := NewMulti(backends, Options{
-		MaxInFlight:      8,
-		FallbackShapes:   reloadShapes,
-		BreakerThreshold: 4,
-		BreakerCooldown:  5 * time.Millisecond,
-		RequestTimeout:   2 * time.Second,
+		MaxInFlight:    8,
+		FallbackShapes: reloadShapes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,9 +225,6 @@ func chaosRun(t *testing.T, seed uint64) {
 					if d.DegradedReason == "" {
 						t.Fatalf("degraded decision with no reason: %+v", d)
 					}
-					if d.Cached {
-						t.Fatalf("cached degraded decision served: %+v", d)
-					}
 				}
 			}
 		}
@@ -259,23 +247,6 @@ func chaosRun(t *testing.T, seed uint64) {
 		if inflight := be.inflight.Load(); inflight != 0 {
 			t.Errorf("%s: inflight gauge %d after quiesce", be.name, inflight)
 		}
-	}
-
-	// Cache audit: the serving generation's cache may only hold full-quality
-	// decisions — priced, non-degraded, stamped with that generation.
-	for _, be := range srv.backends {
-		gen := be.gen.Load()
-		gen.cache.forEach(func(d Decision) {
-			if d.Degraded {
-				t.Errorf("%s: degraded decision cached: %+v", be.name, d)
-			}
-			if d.Generation != gen.id {
-				t.Errorf("%s: cache holds generation %d entry in generation %d", be.name, d.Generation, gen.id)
-			}
-			if d.PredictedGFLOPS <= 0 {
-				t.Errorf("%s: cached decision without a price: %+v", be.name, d)
-			}
-		})
 	}
 
 	st := inj.Stats()

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -75,7 +74,7 @@ func TestClosedLoopRetrainReducesRegret(t *testing.T) {
 		t.Helper()
 		for i := 0; i < rounds; i++ {
 			for _, sh := range shiftedShapes {
-				if _, err := srv.decide(context.Background(), be, sh); err != nil {
+				if _, err := srv.Decide(be.name, sh); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -177,7 +176,7 @@ func TestRetrainRejectedCandidateNeverServes(t *testing.T) {
 
 	for i := 0; i < 8; i++ {
 		for _, sh := range shiftedShapes {
-			if _, err := srv.decide(context.Background(), be, sh); err != nil {
+			if _, err := srv.Decide(be.name, sh); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -201,7 +200,7 @@ func TestRetrainRejectedCandidateNeverServes(t *testing.T) {
 	if gen1 != gen0 || gen1.lib != incumbent {
 		t.Fatalf("rejected candidate touched live serving: generation %d -> %d", gen0.id, gen1.id)
 	}
-	d, err := srv.decide(context.Background(), be, reloadShapes[0])
+	d, err := srv.Decide(be.name, reloadShapes[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,16 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
+
+	"kernelselect/internal/gemm"
 )
 
 // This file is the wire half of the zero-allocation hot path. The stdlib
 // json Encoder/Decoder are correct but allocate per request (decoder state,
-// reflection scratch, the bytes.Buffer inside Encode); at cache-hit rates
-// that allocation is most of the handler. Instead, request bodies land in a
+// reflection scratch, the bytes.Buffer inside Encode); beside a decision that
+// costs a compiled-tree walk, that allocation would be most of the handler. Instead, request bodies land in a
 // pooled buffer, a hand-rolled scanner handles the overwhelmingly common
 // {"m":..,"k":..,"n":..,"device":".."} form, and responses are appended into
 // the same pooled buffer with strconv. Anything the fast scanner is unsure
@@ -222,29 +223,6 @@ func scanInt(b []byte, i int) (v, next int, ok bool) {
 // Append-style response encoding
 // ---------------------------------------------------------------------------
 
-// appendJSONFloat appends a float in encoding/json's exact format: shortest
-// representation, 'f' form unless the magnitude forces the 'e' form, with the
-// exponent's leading zero trimmed.
-func appendJSONFloat(b []byte, f float64) []byte {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		// encoding/json refuses these; decisions never carry them, but keep
-		// the encoder total.
-		return append(b, '0')
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
 // appendJSONString appends a quoted string. The fast path covers strings the
 // encoder would pass through verbatim (printable ASCII minus the characters
 // encoding/json escapes, HTML-safe mode included); anything else round-trips
@@ -266,24 +244,44 @@ func appendJSONString(b []byte, s string) []byte {
 }
 
 // appendDecision appends one Decision exactly as encoding/json renders it:
-// same field order, same omitempty behaviour, same number formatting.
+// same field order, same omitempty behaviour, same string escaping.
 func appendDecision(b []byte, d *Decision) []byte {
+	b = appendDecisionHead(b, d)
+	b = appendJSONString(b, d.Shape)
+	return appendDecisionTail(b, d)
+}
+
+// appendSelection is appendDecision for a select answer whose Shape is still
+// the numeric s: the shape's digits render straight into b, so the select
+// handler builds no shape string. The bytes equal appendDecision's with
+// d.Shape set to s.String().
+func appendSelection(b []byte, d *Decision, s gemm.Shape) []byte {
+	b = appendDecisionHead(b, d)
+	b = append(b, '"')
+	b = strconv.AppendInt(b, int64(s.M), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(s.K), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(s.N), 10)
+	b = append(b, '"')
+	return appendDecisionTail(b, d)
+}
+
+// appendDecisionHead appends a Decision's fields up to the shape's value.
+func appendDecisionHead(b []byte, d *Decision) []byte {
 	b = append(b, `{"device":`...)
 	b = appendJSONString(b, d.Device)
-	b = append(b, `,"shape":`...)
-	b = appendJSONString(b, d.Shape)
+	return append(b, `,"shape":`...)
+}
+
+// appendDecisionTail appends a Decision's fields after the shape's value.
+func appendDecisionTail(b []byte, d *Decision) []byte {
 	b = append(b, `,"config":`...)
 	b = appendJSONString(b, d.Config)
 	b = append(b, `,"index":`...)
 	b = strconv.AppendInt(b, int64(d.Index), 10)
 	b = append(b, `,"kernel_id":`...)
 	b = appendJSONString(b, d.KernelID)
-	b = append(b, `,"predicted_gflops":`...)
-	b = appendJSONFloat(b, d.PredictedGFLOPS)
-	b = append(b, `,"predicted_norm":`...)
-	b = appendJSONFloat(b, d.PredictedNorm)
-	b = append(b, `,"cached":`...)
-	b = strconv.AppendBool(b, d.Cached)
 	b = append(b, `,"generation":`...)
 	b = strconv.AppendUint(b, d.Generation, 10)
 	if d.Degraded {

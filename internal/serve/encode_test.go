@@ -5,29 +5,32 @@ import (
 	"math"
 	"testing"
 
-	"kernelselect/internal/xrand"
+	"kernelselect/internal/gemm"
 )
 
-// TestAppendDecisionMatchesStdlib pins the append encoder to encoding/json
-// byte for byte — field order, omitempty, float formatting, string escaping —
-// so swapping the encoder can never change what clients parse.
+// TestAppendDecisionMatchesStdlib pins the append encoders to encoding/json
+// byte for byte — field order, omitempty, string escaping — so swapping the
+// encoder can never change what clients parse. appendSelection, which renders
+// the shape from its integers, must match too.
 func TestAppendDecisionMatchesStdlib(t *testing.T) {
-	cases := []Decision{
-		{},
-		{
-			Device: "amd-r9-nano", Shape: "784x1152x256", Config: "t8x8a4_wg16x16",
-			Index: 3, KernelID: "t8x8a4", PredictedGFLOPS: 1472.1126384445024,
-			PredictedNorm: 0.9376, Cached: true, Generation: 7,
-		},
-		{
-			Device: "intel-gen9", Shape: "1x1x1", Config: "c", Index: 0,
+	cases := []struct {
+		d     Decision
+		shape gemm.Shape
+	}{
+		{Decision{}, gemm.Shape{}},
+		{Decision{
+			Device: "amd-r9-nano", Config: "t8x8a4_wg16x16",
+			Index: 3, KernelID: "t8x8a4", Generation: math.MaxUint64,
+		}, gemm.Shape{M: 784, K: 1152, N: 256}},
+		{Decision{
+			Device: "intel-gen9", Config: "c", Index: 0,
 			KernelID: "k", Degraded: true, DegradedReason: "budget", Generation: 1,
-		},
-		{Device: `quo"te\dev`, Shape: "<&>", Config: "ünïcode", PredictedGFLOPS: 1e-9},
-		{PredictedGFLOPS: 1e21, PredictedNorm: 1e-7},
-		{PredictedGFLOPS: -0.000125, PredictedNorm: math.MaxFloat64},
+		}, gemm.Shape{M: 1, K: 1, N: 1}},
+		{Decision{Device: `quo"te\dev`, Config: "ünïcode", KernelID: "<&>"}, gemm.Shape{M: 100352, K: 3, N: 64}},
 	}
-	for _, d := range cases {
+	for _, tc := range cases {
+		d := tc.d
+		d.Shape = tc.shape.String()
 		want, err := json.Marshal(d)
 		if err != nil {
 			t.Fatal(err)
@@ -35,28 +38,13 @@ func TestAppendDecisionMatchesStdlib(t *testing.T) {
 		if got := appendDecision(nil, &d); string(got) != string(want) {
 			t.Errorf("decision %+v:\n append: %s\n stdlib: %s", d, got, want)
 		}
-	}
-}
-
-func TestAppendJSONFloatMatchesStdlib(t *testing.T) {
-	vals := []float64{
-		0, 1, -1, 0.5, 1.0 / 3.0, 1e-6, 9.9e-7, 1e21, 9.99e20, -1e21,
-		1472.1126384445024, 1e-300, 1e300, math.SmallestNonzeroFloat64,
-		math.MaxFloat64, 123456789.123456789,
-	}
-	rng := xrand.New(17)
-	for i := 0; i < 2000; i++ {
-		v := (rng.Float64() - 0.5) * math.Pow(10, float64(int(rng.Float64()*60))-30)
-		vals = append(vals, v)
-	}
-	for _, v := range vals {
-		want, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
+		if got := appendSelection(nil, &tc.d, tc.shape); string(got) != string(want) {
+			t.Errorf("selection %+v of %v:\n append: %s\n stdlib: %s", tc.d, tc.shape, got, want)
 		}
-		if got := appendJSONFloat(nil, v); string(got) != string(want) {
-			t.Errorf("float %v: append %s, stdlib %s", v, got, want)
-		}
+	}
+	odd := Decision{Shape: "<&>"}
+	if want, _ := json.Marshal(odd); string(appendDecision(nil, &odd)) != string(want) {
+		t.Errorf("shape needing escapes: append %s, stdlib %s", appendDecision(nil, &odd), want)
 	}
 }
 
@@ -113,9 +101,9 @@ func TestParseSelectBody(t *testing.T) {
 
 func TestAppendBatchMatchesStdlib(t *testing.T) {
 	results := []Decision{
-		{Device: "a", Shape: "1x2x3", Config: "c0", KernelID: "k0", PredictedGFLOPS: 12.5, PredictedNorm: 1},
-		{Device: "a", Shape: "4x5x6", Config: "c1", Index: 1, KernelID: "k1", Cached: true, Generation: 2},
-		{Device: "a", Shape: "7x8x9", Config: "c2", Degraded: true, DegradedReason: "breaker"},
+		{Device: "a", Shape: "1x2x3", Config: "c0", KernelID: "k0"},
+		{Device: "a", Shape: "4x5x6", Config: "c1", Index: 1, KernelID: "k1", Generation: 2},
+		{Device: "a", Shape: "7x8x9", Config: "c2", Degraded: true, DegradedReason: "budget"},
 	}
 	want, err := json.Marshal(batchResponse{Results: results})
 	if err != nil {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,36 +13,17 @@ import (
 	"kernelselect/internal/sim"
 )
 
-// Pricer prices one configuration on one shape. The production
-// implementation adapts *sim.Model (which cannot fail); the indirection
-// exists so tests can wrap pricing with fault injection (latency spikes,
-// errors, cancellations) and so a future remote pricing service has a seam.
-type Pricer interface {
-	PriceGFLOPS(ctx context.Context, cfg gemm.Config, s gemm.Shape) (float64, error)
-}
-
-// modelPricer adapts the analytical device model to the Pricer seam.
-type modelPricer struct{ m *sim.Model }
-
-func (p modelPricer) PriceGFLOPS(_ context.Context, cfg gemm.Config, s gemm.Shape) (float64, error) {
-	return p.m.GFLOPS(cfg, s), nil
-}
-
 // generation is one immutable epoch of a backend's serving state: the
-// library, the pricer that prices its decisions, a decision cache private to
-// this epoch, and the precomputed fallback decision served under
-// degradation. Reload builds a fresh generation and swaps the backend's
-// atomic pointer; requests that loaded the old pointer keep serving against
-// it until they finish, so a response's config always belongs to the
-// generation stamped on it, and a stale generation's cache entries can never
-// leak into the new epoch (the new generation starts with an empty cache).
+// library, its chooser and rendered strings, and the precomputed fallback
+// decision served under degradation. Reload builds a fresh generation and
+// swaps the backend's atomic pointer; requests that loaded the old pointer
+// keep serving against it until they finish, so a response's config always
+// belongs to the generation stamped on it.
 type generation struct {
 	id     uint64
 	device string
 	lib    *core.Library
 	model  *sim.Model
-	pricer Pricer
-	cache  *decisionCache
 
 	// fb holds the degraded-mode fallback template (Shape/DegradedReason
 	// filled per request). It is a pointer swapped atomically because the
@@ -60,21 +40,17 @@ type generation struct {
 	choose   func(gemm.Shape) int
 	compiled bool
 
-	// batch is the vectorized pricing pass over the library's configuration
-	// list, non-nil only when pricing goes through the analytical model
-	// (modelPricer). Custom pricers — fault injection, measured pricing —
-	// keep the per-configuration loop so their per-call seams (latency,
-	// errors, cancellation points) are preserved. rowPool recycles the
-	// per-miss GFLOPS row so the batch miss path allocates nothing.
-	batch   *sim.BatchPricer
-	rowPool sync.Pool
+	// configs and kernelIDs are each library configuration's name and
+	// kernel ID, indexed like lib.Configs and rendered once here so a
+	// decision copies strings instead of formatting them.
+	configs   []string
+	kernelIDs []string
 
 	// universe is the vectorized pricing pass over the regret config
 	// universe (gemm.AllConfigs by default), built only when the closed loop
 	// is on. The regret worker and the retrain gates price against it; it
-	// always goes through the analytical model — regret compares to the
-	// reference optimum, not to an injected or measured pricer. uniPool
-	// recycles the universe-sized GFLOPS row.
+	// always goes through the analytical model, the reference optimum the
+	// offline pipeline uses. uniPool recycles the universe-sized GFLOPS row.
 	universe *sim.BatchPricer
 	uniPool  sync.Pool
 
@@ -86,25 +62,25 @@ type generation struct {
 }
 
 // newGeneration allocates the next epoch for a device. The fallback decision,
-// compiled chooser and /v1/configs body are computed here — once per reload,
-// never per request — so the hot path does no per-request setup work.
-func (s *Server) newGeneration(device string, lib *core.Library, model *sim.Model, pricer Pricer) *generation {
+// compiled chooser, config strings and /v1/configs body are computed here —
+// once per reload, never per request — so the hot path does no per-request
+// setup work.
+func (s *Server) newGeneration(device string, lib *core.Library, model *sim.Model) *generation {
 	id := s.genCounter.Add(1)
 	fb := fallbackDecision(device, lib, model, s.fallbackShapes)
 	fb.Generation = id
 	g := &generation{
-		id:     id,
-		device: device,
-		lib:    lib,
-		model:  model,
-		pricer: pricer,
-		cache:  newDecisionCache(s.opts.CacheSize, cacheShards),
+		id:        id,
+		device:    device,
+		lib:       lib,
+		model:     model,
+		configs:   make([]string, len(lib.Configs)),
+		kernelIDs: make([]string, len(lib.Configs)),
+	}
+	for i, c := range lib.Configs {
+		g.configs[i], g.kernelIDs[i] = c.String(), c.KernelID()
 	}
 	g.fb.Store(&fb)
-	if _, ok := pricer.(modelPricer); ok {
-		g.batch = model.Batch(lib.Configs)
-		g.rowPool.New = func() any { r := make([]float64, len(lib.Configs)); return &r }
-	}
 	if len(s.regretUniverse) > 0 {
 		g.universe = model.Batch(s.regretUniverse)
 		n := len(s.regretUniverse)
@@ -173,10 +149,8 @@ func renderConfigs(g *generation) []byte {
 		Selector:   g.lib.SelectorName(),
 		Generation: g.id,
 		Count:      len(g.lib.Configs),
-	}
-	for _, c := range g.lib.Configs {
-		resp.Configs = append(resp.Configs, c.String())
-		resp.KernelIDs = append(resp.KernelIDs, c.KernelID())
+		Configs:    g.configs,
+		KernelIDs:  g.kernelIDs,
 	}
 	b, err := json.Marshal(resp)
 	if err != nil {
@@ -190,9 +164,7 @@ func renderConfigs(g *generation) []byte {
 // the fallback shape set (the paper's dataset by default). The geomean is
 // the same aggregate the offline pipeline ranks configurations by, so the
 // fallback is the single config you would ship if the library could hold
-// only one. Degraded responses carry no per-shape prediction (that would
-// cost the pricing pass degradation exists to avoid), so the predicted
-// fields stay zero.
+// only one.
 func fallbackDecision(device string, lib *core.Library, model *sim.Model, shapes []gemm.Shape) Decision {
 	idx := bestGeomeanIndex(model, lib.Configs, shapes)
 	cfg := lib.Configs[idx]
@@ -233,71 +205,6 @@ func bestGeomeanIndex(model *sim.Model, cfgs []gemm.Config, shapes []gemm.Shape)
 	return best
 }
 
-// compute runs the selector and prices every library configuration on the
-// shape, so the decision carries its predicted normalized performance — the
-// paper's Table-I quantity, per request. Model-priced generations take the
-// vectorized batch pass (one struct-of-arrays sweep, no per-config calls);
-// custom pricers keep the per-configuration loop, where the deadline is
-// checked between configurations — pricing the whole library is the
-// handler's only unbounded work, so an expired context aborts here rather
-// than running to completion after the client has given up. A pricing error
-// aborts the pass; the caller maps it to a degraded fallback response and
-// feeds the circuit breaker.
-func (g *generation) compute(ctx context.Context, shape gemm.Shape) (Decision, error) {
-	idx := g.choose(shape)
-	cfgs := g.lib.Configs
-	best, chosen := 0.0, 0.0
-	if g.batch != nil {
-		// The batch pass prices the library in tens of microseconds, so one
-		// deadline check up front suffices.
-		if err := ctx.Err(); err != nil {
-			return Decision{}, err
-		}
-		rp := g.rowPool.Get().(*[]float64)
-		row := *rp
-		g.batch.PriceRow(row, shape)
-		for i, v := range row {
-			if v > best {
-				best = v
-			}
-			if i == idx {
-				chosen = v
-			}
-		}
-		g.rowPool.Put(rp)
-	} else {
-		for i, cfg := range cfgs {
-			if err := ctx.Err(); err != nil {
-				return Decision{}, err
-			}
-			v, err := g.pricer.PriceGFLOPS(ctx, cfg, shape)
-			if err != nil {
-				return Decision{}, err
-			}
-			if v > best {
-				best = v
-			}
-			if i == idx {
-				chosen = v
-			}
-		}
-	}
-	norm := 0.0
-	if best > 0 {
-		norm = chosen / best
-	}
-	return Decision{
-		Device:          g.device,
-		Shape:           shape.String(),
-		Config:          cfgs[idx].String(),
-		Index:           idx,
-		KernelID:        cfgs[idx].KernelID(),
-		PredictedGFLOPS: chosen,
-		PredictedNorm:   norm,
-		Generation:      g.id,
-	}, nil
-}
-
 // ReloadSource produces a fresh library (and optionally a fresh model; nil
 // keeps the current one) for a device. selectd installs one that re-reads
 // the -library artifact path, or retrains in-process, so POST /v1/reload and
@@ -312,11 +219,9 @@ func (s *Server) SetReloadSource(f ReloadSource) { s.reloadSource = f }
 // Reload atomically swaps the named backend (empty = default) onto a new
 // library, and optionally a new device model (nil keeps the current one).
 // In-flight requests finish against the generation they loaded; every
-// request admitted after Reload returns sees the new library. The new
-// generation starts with an empty decision cache — decisions priced against
-// the old library are unreachable the moment the swap lands — and a freshly
-// computed fallback config. The backend's budget, latency EWMA and circuit
-// breaker survive the swap: they describe the device, not the artifact.
+// request admitted after Reload returns sees the new library and a freshly
+// computed fallback config. The backend's budget and latency EWMA survive the
+// swap: they describe the device, not the artifact.
 // Returns the new generation id.
 func (s *Server) Reload(device string, lib *core.Library, model *sim.Model) (uint64, error) {
 	be, err := s.backend(device)
@@ -350,20 +255,8 @@ func (s *Server) Reload(device string, lib *core.Library, model *sim.Model) (uin
 			return 0, fmt.Errorf("serve: reload for %q: %v", be.name, err)
 		}
 	}
-	pricer := be.custom
-	if pricer == nil {
-		pricer = modelPricer{model}
-	}
-	gen := s.newGeneration(be.name, lib, model, pricer)
+	gen := s.newGeneration(be.name, lib, model)
 	be.gen.Store(gen)
-	// Fold the displaced generation's cache counters into the backend's
-	// cumulative bases so selectd_cache_{hits,misses}_total stay monotonic
-	// across the swap. In-flight requests still finishing against the old
-	// generation may bump its counters after this snapshot; those few
-	// straggler counts are dropped rather than risking a decrease.
-	hits, misses := cur.cache.stats()
-	be.cacheHitsBase.Add(hits)
-	be.cacheMissesBase.Add(misses)
 	// A fresh generation's fallback starts from the static shape set; when
 	// the window has already observed enough live traffic, relearn it from
 	// the observed distribution immediately rather than waiting a

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -71,13 +70,20 @@ func (sr *selectRunner) run() {
 	sr.handler(sr.w, sr.r)
 }
 
-// TestSelectCacheHitAllocations pins the tentpole guarantee: a steady-state
-// /v1/select request — well-formed body, cached shape — does not allocate in
-// the handler at all. A regression here is a performance bug even though no
-// behaviour changes, so it fails the build. The closed-loop variant runs with
-// every decision sampled for regret measurement and appended to the drift
-// window: the accounting path must stay allocation-free too.
-func TestSelectCacheHitAllocations(t *testing.T) {
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// TestSelectAllocations pins the decision path's allocations: a /v1/select
+// request allocates nothing in the handler, whether its shape was asked
+// before (repeated) or never (fresh), with the closed loop off and with every
+// decision sampled for regret and appended to the drift window.
+// Engine.Decide allocates no more than the decision's shape string costs. A
+// regression is a performance bug even though no behaviour changes, so it
+// fails the build.
+func TestSelectAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own (sync.Pool drops, instrumentation)")
+	}
 	cases := []struct {
 		name string
 		opts Options
@@ -90,77 +96,62 @@ func TestSelectCacheHitAllocations(t *testing.T) {
 			WindowSize:     4096,
 		}},
 	}
+	shape := gemm.Shape{M: 784, K: 1152, N: 256}
+	shapeString := testing.AllocsPerRun(100, func() { _ = shape.String() })
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			model := sim.New(device.R9Nano())
 			srv := New(buildLib(t, model, 6), model, tc.opts)
 			defer srv.Close()
-			payload := []byte(`{"m":784,"k":1152,"n":256}`)
-			sr := newSelectRunner(srv, payload)
 
-			sr.run() // miss: price and fill the cache
-			if sr.w.code != http.StatusOK {
-				t.Fatalf("warm request: status %d, body %s", sr.w.code, sr.w.buf)
-			}
-			sr.run()
-			if !bytes.Contains(sr.w.buf, []byte(`"cached":true`)) {
-				t.Fatalf("second request not served from cache: %s", sr.w.buf)
-			}
-			if allocs := testing.AllocsPerRun(500, sr.run); allocs != 0 {
-				t.Errorf("cache-hit select allocates %.1f objects per request, want 0", allocs)
-			}
+			t.Run("repeated", func(t *testing.T) {
+				sr := newSelectRunner(srv, []byte(`{"m":784,"k":1152,"n":256}`))
+				sr.run()
+				if sr.w.code != http.StatusOK {
+					t.Fatalf("select: status %d, body %s", sr.w.code, sr.w.buf)
+				}
+				if allocs := testing.AllocsPerRun(500, sr.run); allocs != 0 {
+					t.Errorf("select on a repeated shape allocates %.1f objects per request, want 0", allocs)
+				}
+				decide := func() {
+					if d, err := srv.Decide("", shape); err != nil || d.Degraded {
+						t.Fatalf("Decide: %+v, %v", d, err)
+					}
+				}
+				if allocs := testing.AllocsPerRun(200, decide); allocs > shapeString {
+					t.Errorf("Decide on a repeated shape allocates %.1f objects, want <= %.1f (the shape string)", allocs, shapeString)
+				}
+			})
+
+			t.Run("fresh", func(t *testing.T) {
+				// The handler reads the payload afresh each run; rewriting m's
+				// six digits in place makes every request a shape never asked
+				// before.
+				payload := []byte(`{"m":200000,"k":64,"n":64}`)
+				sr := newSelectRunner(srv, payload)
+				m := 200000
+				selectFresh := func() {
+					m++
+					strconv.AppendInt(payload[5:5], int64(m), 10)
+					sr.run()
+					if sr.w.code != http.StatusOK {
+						t.Fatalf("select on a fresh shape: status %d, body %s", sr.w.code, sr.w.buf)
+					}
+				}
+				if allocs := testing.AllocsPerRun(500, selectFresh); allocs != 0 {
+					t.Errorf("select on a fresh shape allocates %.1f objects per request, want 0", allocs)
+				}
+				decide := func() {
+					m++
+					if d, err := srv.Decide("", gemm.Shape{M: m, K: 64, N: 64}); err != nil || d.Degraded {
+						t.Fatalf("Decide: %+v, %v", d, err)
+					}
+				}
+				if allocs := testing.AllocsPerRun(200, decide); allocs > shapeString {
+					t.Errorf("Decide on a fresh shape allocates %.1f objects, want <= %.1f (the shape string)", allocs, shapeString)
+				}
+			})
 		})
-	}
-}
-
-// raceEnabled is set by race_test.go when the race detector is on.
-var raceEnabled bool
-
-// TestSelectMissAllocations pins the one cache-miss path's allocations under
-// the analytical pricer: every run asks for a shape no run asked before,
-// through Engine.Decide and through the /v1/select handler. A miss allocates
-// the decision's strings, the cache entry, and (on the HTTP path) the
-// request deadline; anything more is new per-miss machinery.
-func TestSelectMissAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector adds allocations of its own (sync.Pool drops, instrumentation)")
-	}
-	const (
-		decideMax  = 6
-		handlerMax = 11
-	)
-	model := sim.New(device.R9Nano())
-	srv := New(buildLib(t, model, 6), model, Options{FallbackShapes: reloadShapes})
-	defer srv.Close()
-
-	ctx := context.Background()
-	m := 100000
-	decide := func() {
-		m++
-		d, err := srv.Decide(ctx, "", gemm.Shape{M: m, K: 64, N: 64})
-		if err != nil || d.Cached || d.Degraded {
-			t.Fatalf("Decide miss: %+v, %v", d, err)
-		}
-	}
-	if allocs := testing.AllocsPerRun(200, decide); allocs > decideMax {
-		t.Errorf("Decide miss allocates %.0f objects, want <= %d", allocs, decideMax)
-	}
-
-	// The handler reads the payload afresh each run; rewriting m's six
-	// digits in place makes every request a new shape.
-	payload := []byte(`{"m":200000,"k":64,"n":64}`)
-	sr := newSelectRunner(srv, payload)
-	m = 200000
-	selectMiss := func() {
-		m++
-		strconv.AppendInt(payload[5:5], int64(m), 10)
-		sr.run()
-		if sr.w.code != http.StatusOK || !bytes.Contains(sr.w.buf, []byte(`"cached":false`)) {
-			t.Fatalf("select miss: status %d, body %s", sr.w.code, sr.w.buf)
-		}
-	}
-	if allocs := testing.AllocsPerRun(200, selectMiss); allocs > handlerMax {
-		t.Errorf("select miss allocates %.0f objects per request, want <= %d", allocs, handlerMax)
 	}
 }
 
@@ -267,9 +258,9 @@ func BenchmarkSelectHot(b *testing.B) {
 	model := sim.New(device.R9Nano())
 	srv := New(buildLib(b, model, 6), model, Options{FallbackShapes: reloadShapes})
 	sr := newSelectRunner(srv, []byte(`{"m":784,"k":1152,"n":256}`))
-	sr.run() // warm the cache
+	sr.run()
 	if sr.w.code != http.StatusOK {
-		b.Fatalf("warm request failed: %d", sr.w.code)
+		b.Fatalf("select failed: %d", sr.w.code)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -281,8 +272,6 @@ func BenchmarkSelectHot(b *testing.B) {
 func BenchmarkSelectHotParallel(b *testing.B) {
 	model := sim.New(device.R9Nano())
 	srv := New(buildLib(b, model, 6), model, Options{FallbackShapes: reloadShapes})
-	warm := newSelectRunner(srv, []byte(`{"m":784,"k":1152,"n":256}`))
-	warm.run()
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		sr := newSelectRunner(srv, []byte(`{"m":784,"k":1152,"n":256}`))
@@ -291,3 +280,44 @@ func BenchmarkSelectHotParallel(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkChoose is what one select pays for its decision on each selector
+// selectd accepts, now that no cache stands in front of it: the serving
+// generation's chooser over the paper's dataset shapes, on a library trained
+// exactly as selectd trains one in-process (decision-tree pruning, n=8,
+// seed 42). Each sub-benchmark's name says whether the generation installed
+// the compiled chooser or fell back to the interpreted selector.
+func BenchmarkChoose(b *testing.B) {
+	model := sim.New(device.R9Nano())
+	shapes, _ := workload.DatasetShapes()
+	ds := dataset.Build(model, shapes, gemm.AllConfigs())
+	for _, sel := range []struct {
+		name    string
+		trainer core.SelectorTrainer
+	}{
+		{"tree", core.DecisionTreeSelector{}},
+		{"forest", core.RandomForestSelector{}},
+		{"1nn", core.KNNSelector{K: 1}},
+		{"3nn", core.KNNSelector{K: 3}},
+		{"linear-svm", core.LinearSVMSelector{}},
+		{"radial-svm", core.RadialSVMSelector{}},
+	} {
+		lib := core.BuildLibrary(ds, core.DecisionTree{}, sel.trainer, 8, 42)
+		srv := New(lib, model, Options{FallbackShapes: shapes})
+		gen := srv.backends[0].gen.Load()
+		kind := "interpreted"
+		if gen.compiled {
+			kind = "compiled"
+		}
+		b.Run(sel.name+"/"+kind, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				chosen = gen.choose(shapes[i%len(shapes)])
+			}
+		})
+		srv.Close()
+	}
+}
+
+// chosen keeps BenchmarkChoose's result live.
+var chosen int

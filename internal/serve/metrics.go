@@ -12,12 +12,12 @@ import (
 
 // metrics is a dependency-free registry in the Prometheus text exposition
 // format: per-endpoint request counters broken down by status code,
-// per-endpoint latency histograms, and per-device cache, budget, shed and
+// per-endpoint latency histograms, and per-device budget, shed and
 // degradation series. Everything is atomics on the hot path; rendering takes
 // the slow path.
 
 // latencyBuckets are the histogram upper bounds in seconds. Selection is
-// microseconds (a tree walk plus at most one pricing pass), so the buckets
+// microseconds (a compiled-tree walk behind the HTTP stack), so the buckets
 // concentrate there and fan out to catch stragglers.
 var latencyBuckets = []float64{
 	5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
@@ -166,24 +166,19 @@ func (m *metrics) endpoint(name string) *endpointMetrics {
 }
 
 // backendStats is one device backend's snapshot for rendering: its selector
-// name, library generation, decision-cache counters, admission budget state,
-// shed/degradation counters, latency EWMA and circuit-breaker state.
+// name, library generation, admission budget state, shed/degradation
+// counters and latency EWMA.
 type backendStats struct {
-	device       string
-	infoLine     string // pre-rendered selectd_info line, built per generation
-	generation   uint64
-	compiled     bool
-	hits         uint64
-	misses       uint64
-	entries      int
-	inflight     int64
-	budgetFree   int
-	budgetCap    int
-	shed         uint64
-	degraded     [numReasons]uint64
-	ewmaSeconds  float64
-	breakerState breakerState
-	breakerTrips uint64
+	device      string
+	infoLine    string // pre-rendered selectd_info line, built per generation
+	generation  uint64
+	compiled    bool
+	inflight    int64
+	budgetFree  int
+	budgetCap   int
+	shed        uint64
+	degraded    uint64
+	ewmaSeconds float64
 
 	// Closed-loop series (regret.go, retrain.go).
 	decisions       uint64
@@ -259,23 +254,7 @@ func (m *metrics) render(b *strings.Builder, backends []backendStats) {
 		fmt.Fprintf(b, "selectd_generation{device=%q} %d\n", be.device, be.generation)
 	}
 
-	b.WriteString("# HELP selectd_cache_hits_total Decision-cache hits, by device.\n")
-	b.WriteString("# TYPE selectd_cache_hits_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_cache_hits_total{device=%q} %d\n", be.device, be.hits)
-	}
-	b.WriteString("# HELP selectd_cache_misses_total Decision-cache misses, by device.\n")
-	b.WriteString("# TYPE selectd_cache_misses_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_cache_misses_total{device=%q} %d\n", be.device, be.misses)
-	}
-	b.WriteString("# HELP selectd_cache_entries Decisions currently cached, by device.\n")
-	b.WriteString("# TYPE selectd_cache_entries gauge\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_cache_entries{device=%q} %d\n", be.device, be.entries)
-	}
-
-	b.WriteString("# HELP selectd_inflight_requests Requests currently being served, by device.\n")
+	b.WriteString("# HELP selectd_inflight_requests Batches currently being served, by device.\n")
 	b.WriteString("# TYPE selectd_inflight_requests gauge\n")
 	for _, be := range backends {
 		fmt.Fprintf(b, "selectd_inflight_requests{device=%q} %d\n", be.device, be.inflight)
@@ -292,7 +271,7 @@ func (m *metrics) render(b *strings.Builder, backends []backendStats) {
 		fmt.Fprintf(b, "selectd_budget_capacity{device=%q} %d\n", be.device, be.budgetCap)
 	}
 
-	b.WriteString("# HELP selectd_shed_total Requests rejected 429 at the latency shed threshold, by device.\n")
+	b.WriteString("# HELP selectd_shed_total Batches rejected 429 at the latency shed threshold, by device.\n")
 	b.WriteString("# TYPE selectd_shed_total counter\n")
 	for _, be := range backends {
 		fmt.Fprintf(b, "selectd_shed_total{device=%q} %d\n", be.device, be.shed)
@@ -308,15 +287,13 @@ func (m *metrics) render(b *strings.Builder, backends []backendStats) {
 		fmt.Fprintf(b, "selectd_compiled_selector{device=%q} %d\n", be.device, v)
 	}
 
-	b.WriteString("# HELP selectd_degraded_total Requests answered with the fallback config, by device and reason.\n")
+	b.WriteString("# HELP selectd_degraded_total Decisions answered with the fallback config, by device and reason.\n")
 	b.WriteString("# TYPE selectd_degraded_total counter\n")
 	for _, be := range backends {
-		for r, n := range be.degraded {
-			fmt.Fprintf(b, "selectd_degraded_total{device=%q,reason=%q} %d\n", be.device, reasonNames[r], n)
-		}
+		fmt.Fprintf(b, "selectd_degraded_total{device=%q,reason=%q} %d\n", be.device, reasonBudget, be.degraded)
 	}
 
-	b.WriteString("# HELP selectd_latency_ewma_seconds Full-service latency EWMA, by device.\n")
+	b.WriteString("# HELP selectd_latency_ewma_seconds Full-service batch latency EWMA, by device.\n")
 	b.WriteString("# TYPE selectd_latency_ewma_seconds gauge\n")
 	for _, be := range backends {
 		fmt.Fprintf(b, "selectd_latency_ewma_seconds{device=%q} %.9f\n", be.device, be.ewmaSeconds)
@@ -384,16 +361,5 @@ func (m *metrics) render(b *strings.Builder, backends []backendStats) {
 	b.WriteString("# TYPE selectd_fallback_updates_total counter\n")
 	for _, be := range backends {
 		fmt.Fprintf(b, "selectd_fallback_updates_total{device=%q} %d\n", be.device, be.fallbackUpdates)
-	}
-
-	b.WriteString("# HELP selectd_breaker_state Circuit-breaker state, by device (0 closed, 1 half-open, 2 open).\n")
-	b.WriteString("# TYPE selectd_breaker_state gauge\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_breaker_state{device=%q} %d\n", be.device, int(be.breakerState))
-	}
-	b.WriteString("# HELP selectd_breaker_trips_total Circuit-breaker open transitions, by device.\n")
-	b.WriteString("# TYPE selectd_breaker_trips_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_breaker_trips_total{device=%q} %d\n", be.device, be.breakerTrips)
 	}
 }

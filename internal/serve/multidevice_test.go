@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"kernelselect/internal/core"
 	"kernelselect/internal/dataset"
@@ -162,38 +160,6 @@ func TestConfigsPerDevice(t *testing.T) {
 	}
 }
 
-// Per-device cache partitions: traffic on one device must not appear in
-// another device's cache series, and both partitions report independently.
-func TestPerDeviceCacheMetrics(t *testing.T) {
-	srv, ts := multiTestServer(t, Options{})
-	nano, gen9 := srv.Devices()[0], srv.Devices()[1]
-	req := shapeRequest{M: 784, K: 1152, N: 256}
-
-	reqNano := req
-	reqNano.Device = nano
-	decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", reqNano))
-	second := decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", reqNano))
-	if !second.Cached {
-		t.Fatal("repeat request missed the nano cache")
-	}
-	reqGen9 := req
-	reqGen9.Device = gen9
-	if d := decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", reqGen9)); d.Cached {
-		t.Fatal("gen9 first request hit another device's cache entry")
-	}
-
-	page := metricsPage(t, ts)
-	if got := metricValue(t, page, `selectd_cache_hits_total{device="`+nano+`"}`); got != 1 {
-		t.Errorf("nano cache hits %v, want 1", got)
-	}
-	if got := metricValue(t, page, `selectd_cache_hits_total{device="`+gen9+`"}`); got != 0 {
-		t.Errorf("gen9 cache hits %v, want 0", got)
-	}
-	if got := metricValue(t, page, `selectd_cache_entries{device="`+gen9+`"}`); got != 1 {
-		t.Errorf("gen9 cache entries %v, want 1", got)
-	}
-}
-
 func TestNewMultiValidation(t *testing.T) {
 	model := sim.New(device.R9Nano())
 	shapes := []gemm.Shape{{M: 8, K: 8, N: 8}, {M: 64, K: 64, N: 64}}
@@ -211,42 +177,6 @@ func TestNewMultiValidation(t *testing.T) {
 		if _, err := NewMulti(bs, Options{}); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
-	}
-}
-
-// A nanosecond deadline expires before the pricing loop starts, so the
-// single-select path must abort mid-computation with 503 instead of pricing
-// the whole library for a dead client.
-func TestSelectDeadlineExceeded(t *testing.T) {
-	_, ts := testServer(t, Options{RequestTimeout: time.Nanosecond})
-	resp := postJSON(t, ts.URL+"/v1/select", shapeRequest{M: 7, K: 7, N: 7})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503", resp.StatusCode)
-	}
-}
-
-// An expired deadline must not poison the cache: the aborted shape stays
-// uncached and a later unconstrained request computes it fresh.
-func TestDeadlineAbortNotCached(t *testing.T) {
-	srv, _ := testServer(t, Options{})
-	be := srv.backends[0]
-	shape := gemm.Shape{M: 7, K: 7, N: 7}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := srv.decide(ctx, be, shape); err == nil {
-		t.Fatal("decide with a dead context succeeded")
-	}
-	if _, ok := be.gen.Load().cache.get(shape); ok {
-		t.Fatal("aborted decision was cached")
-	}
-	d, err := srv.decide(context.Background(), be, shape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Config == "" {
-		t.Fatal("recovered request returned no config")
 	}
 }
 

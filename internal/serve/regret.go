@@ -23,8 +23,8 @@ import (
 // only enqueues a fixed-size sample onto a bounded channel of regretQueue
 // slots (dropping, counted, when full — never blocking), and a single worker
 // prices the universe via the generation's vectorized batch pricer,
-// bypassing admission budgets, the latency EWMA and the circuit breaker —
-// the measurement describes decision quality, not client service.
+// bypassing admission budgets and the latency EWMA — the measurement
+// describes decision quality, not client service.
 
 // regretQueue bounds the background measurement queue.
 const regretQueue = 1024
@@ -43,8 +43,7 @@ type regretSample struct {
 // account records one served decision into the closed-loop state: the
 // per-backend decision counters, the served-shape window, and — for every
 // regretEvery-th decision — the regret measurement queue. It runs on the
-// request goroutine for every decision (cache hits included), so it must not
-// allocate or block: the window append is a sharded ring store and a full
+// request goroutine for every decision, so it must not allocate or block: the window append is a sharded ring store and a full
 // queue drops the sample rather than waiting.
 func (s *Server) account(be *backend, gen *generation, shape gemm.Shape, d *Decision) {
 	if be.window != nil {
@@ -81,10 +80,8 @@ func (s *Server) regretWorker() {
 // measureRegret prices the universe for one sampled decision and folds the
 // regret into the backend's histogram (the degraded-path histogram when the
 // decision was a fallback answer, so fallback cost is measurable on its own).
-// Pricing goes through the generation's model directly — not the backend's
-// custom pricer — because regret compares against the analytical optimum the
-// offline pipeline uses; fault-injected or measured pricers describe service,
-// not the reference.
+// Pricing goes through the generation's model: regret compares against the
+// analytical optimum the offline pipeline uses.
 func (s *Server) measureRegret(smp regretSample) float64 {
 	gen := smp.gen
 	rp := gen.uniPool.Get().(*[]float64)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"math"
 	"testing"
 	"time"
@@ -44,7 +43,7 @@ func TestRegretAccountingInvariants(t *testing.T) {
 
 	const n = 40
 	for i := 0; i < n; i++ {
-		if _, err := srv.decide(context.Background(), be, reloadShapes[i%len(reloadShapes)]); err != nil {
+		if _, err := srv.Decide(be.name, reloadShapes[i%len(reloadShapes)]); err != nil {
 			t.Fatal(err)
 		}
 	}

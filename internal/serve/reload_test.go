@@ -33,9 +33,8 @@ func buildLib(t testing.TB, model *sim.Model, n int) *core.Library {
 }
 
 // A reload must swap the library atomically: the generation bumps, the new
-// library answers, and the old generation's cache cannot leak entries into
-// the new epoch.
-func TestReloadSwapsLibraryAndCache(t *testing.T) {
+// library answers, and cumulative counters carry across the swap.
+func TestReloadSwapsLibrary(t *testing.T) {
 	model := sim.New(device.R9Nano())
 	libA := buildLib(t, model, 6)
 	libB := buildLib(t, model, 4)
@@ -52,10 +51,6 @@ func TestReloadSwapsLibraryAndCache(t *testing.T) {
 	}
 	if first.Generation != gen1 {
 		t.Fatalf("decision stamped generation %d, server at %d", first.Generation, gen1)
-	}
-	// Warm the cache so stale-entry leakage would be observable.
-	if d := decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", req)); !d.Cached {
-		t.Fatal("warm request missed the cache")
 	}
 
 	before := metricsSnapshot(t, ts)
@@ -74,9 +69,6 @@ func TestReloadSwapsLibraryAndCache(t *testing.T) {
 	if d.Generation != gen2 {
 		t.Fatalf("post-reload decision from generation %d, want %d", d.Generation, gen2)
 	}
-	if d.Cached {
-		t.Fatal("post-reload decision served from the old generation's cache")
-	}
 	if d.Config != libB.Configs[d.Index].String() {
 		t.Fatalf("post-reload config %q not at index %d of the new library", d.Config, d.Index)
 	}
@@ -94,15 +86,12 @@ func TestReloadSwapsLibraryAndCache(t *testing.T) {
 		t.Fatalf("configs report generation %d count %d, want %d/%d", c.Generation, c.Count, gen2, len(libB.Configs))
 	}
 
-	// Cumulative counters survive the swap: the displaced generation's cache
-	// traffic folds into the backend totals instead of resetting to zero.
+	// Cumulative counters survive the swap: the decisions served before it
+	// stay counted.
 	after := metricsSnapshot(t, ts)
 	assertCountersMonotonic(t, before, after)
-	if hits := after[`selectd_cache_hits_total{device="amd-r9-nano"}`]; hits < 1 {
-		t.Errorf("cache hits reset across the reload: %v, want >= 1", hits)
-	}
-	if misses := after[`selectd_cache_misses_total{device="amd-r9-nano"}`]; misses < 2 {
-		t.Errorf("cache misses %v after a pre-swap and a post-swap miss, want >= 2", misses)
+	if n := after[`selectd_decisions_total{device="amd-r9-nano"}`]; n != 2 {
+		t.Errorf("decisions %v after one pre-swap and one post-swap select, want 2", n)
 	}
 }
 
@@ -182,8 +171,8 @@ func TestReloadEndpoint(t *testing.T) {
 // client goroutines hammer /v1/select, the main goroutine reloads between
 // two libraries of different sizes. Zero requests may drop, and every
 // response's config must belong to the library of the generation stamped on
-// it — a response mixing epochs (old index against new library, stale cache
-// entry, torn swap) fails the audit. Budget tokens must be conserved. Run
+// it — a response mixing epochs (old index against new library, torn swap)
+// fails the audit. Budget tokens must be conserved. Run
 // under -race this doubles as the concurrent Reload-vs-decide race test.
 func TestReloadUnderLoad(t *testing.T) {
 	model := sim.New(device.R9Nano())
@@ -296,7 +285,7 @@ func TestReloadUnderLoad(t *testing.T) {
 // source runs once, one generation is built, and every caller answers with
 // that same generation. Before single-flight, a reload storm (overlapping
 // operator calls, a misfiring deploy hook) raced to build N generations and
-// discarded N-1 of them, wiping the warm cache each time.
+// discarded N-1 of them.
 func TestReloadSingleFlight(t *testing.T) {
 	model := sim.New(device.R9Nano())
 	libA := buildLib(t, model, 6)

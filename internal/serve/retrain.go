@@ -306,7 +306,7 @@ func (s *Server) runRetrain(be *backend, gen *generation, ref shapeMix, win []ge
 	// not the blend: the blend weights every union shape uniformly, which
 	// matches neither past nor present traffic, so scoring drift against it
 	// keeps the score high and re-fires an identical retrain every pass
-	// (each promotion wiping the decision cache). Against the window, drift
+	// (each promotion a needless generation swap). Against the window, drift
 	// measures departure from the traffic the selector was just adapted to,
 	// and the loop settles until the mix genuinely moves again.
 	mix := mixOf(win)

@@ -5,24 +5,27 @@
 //
 // A server hosts one selection backend per device model — the cross-device
 // deployment the portability study measures — and routes each query by the
-// request's "device" field (defaulting to the first backend). Production
-// concerns are handled in-process with no external dependencies:
+// request's "device" field (defaulting to the first backend). A decision is a
+// pure function of (generation, device, shape): the generation's compiled
+// selector picks a configuration index, and the answer's config and kernel-ID
+// strings were rendered once when the generation was built. Nothing on that
+// path can block or fail, so a select takes no admission token, no deadline
+// and no cache. Production concerns are handled in-process with no external
+// dependencies:
 //
-//   - a sharded LRU decision cache per device generation (NN layer shapes
-//     repeat every step, so steady-state traffic is almost all hits);
-//   - atomic hot reload: each backend's library/model/cache is an immutable
+//   - atomic hot reload: each backend's library and model form an immutable
 //     generation behind an atomic pointer, swappable via Reload or
 //     POST /v1/reload without dropping in-flight requests;
-//   - per-backend admission budgets: each device gets its own token budget
-//     (default MaxInFlight split evenly) so a hot device cannot starve the
-//     others, plus an EWMA-latency shed threshold that rejects 429 when a
-//     backend falls behind;
-//   - graceful degradation: budget exhaustion, a too-short deadline, a
-//     pricing failure, or an open circuit breaker answer with the backend's
-//     precomputed fallback config ("degraded": true) instead of an error;
+//   - per-backend admission budgets for batches: each device gets its own
+//     token budget (default MaxInFlight split evenly) so a hot device cannot
+//     starve the others, plus an EWMA-latency shed threshold that rejects 429
+//     when a backend falls behind;
+//   - graceful degradation: a batch that finds its backend's budget exhausted
+//     is answered with the backend's precomputed fallback config
+//     ("degraded": true) instead of an error;
 //   - per-endpoint request counters and latency histograms plus per-device
-//     cache/budget/shed/degradation series, exposed at GET /metrics in
-//     Prometheus text format;
+//     budget/shed/degradation series, exposed at GET /metrics in Prometheus
+//     text format;
 //   - a draining flag that fails GET /healthz ahead of graceful shutdown,
 //     letting a load balancer rotate the instance out while in-flight
 //     requests finish; healthz's body reports per-backend detail.
@@ -34,7 +37,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -48,31 +50,36 @@ import (
 
 	"kernelselect/internal/core"
 	"kernelselect/internal/gemm"
-	"kernelselect/internal/par"
 	"kernelselect/internal/sim"
 	"kernelselect/internal/workload"
 )
 
+// MaxBatch is the most shapes one /v1/select/batch request may carry.
+const MaxBatch = 1024
+
+// CheckBatchSize reports why a batch of n shapes is refused (400): it is
+// empty or exceeds MaxBatch. selectd and the cluster router both apply it
+// before anything else looks at the shapes, so a batch is refused alike on
+// either tier.
+func CheckBatchSize(n int) error {
+	if n == 0 {
+		return errors.New("batch has no shapes")
+	}
+	if n > MaxBatch {
+		return fmt.Errorf("batch of %d shapes exceeds limit %d", n, MaxBatch)
+	}
+	return nil
+}
+
 // Options configure the server. The zero value selects the defaults.
 type Options struct {
-	CacheSize      int            // cached decisions per device generation; default 4096, negative disables
-	MaxInFlight    int            // total admission budget, split evenly across backends; default 256
-	Budgets        map[string]int // per-device budget overrides (device name → tokens)
-	MaxBatch       int            // shapes per batch request; default 1024
-	RequestTimeout time.Duration  // per-request deadline; default 5s
-	Workers        int            // pricing workers per batch request; default GOMAXPROCS
+	MaxInFlight int            // total batch admission budget, split evenly across backends; default 256
+	Budgets     map[string]int // per-device budget overrides (device name → tokens)
 
 	// ShedLatency is the load-aware shed threshold: when a backend's
-	// full-service latency EWMA exceeds it, new full-service requests for
-	// that backend are rejected 429 until the EWMA decays. 0 disables.
+	// full-service batch latency EWMA exceeds it, new batches for that
+	// backend are rejected 429 until the EWMA decays. 0 disables.
 	ShedLatency time.Duration
-
-	// BreakerThreshold consecutive pricing failures trip a backend's circuit
-	// breaker to fallback-only service; default 5. BreakerCooldown is how
-	// long the breaker stays open before half-opening one trial request;
-	// default 1s.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 
 	// FallbackShapes is the shape set the degraded-mode fallback config is
 	// scored over (best geometric-mean GFLOPS); default: the paper's
@@ -126,23 +133,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.CacheSize == 0 {
-		o.CacheSize = 4096
-	}
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 256
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 1024
-	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = 5 * time.Second
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = time.Second
 	}
 	if o.FallbackShapes == nil {
 		o.FallbackShapes, _ = workload.DatasetShapes()
@@ -171,16 +163,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Backend pairs one device's deployed library with the device model that
-// prices its decisions. Device is the name clients route by. Pricer, when
-// non-nil, overrides Model-based pricing on the serving path (fault
-// injection, remote pricing) and is kept across reloads; Model is still
-// required — it prices the degraded-mode fallback config.
+// Backend pairs one device's deployed library with its device model. Device
+// is the name clients route by. The model never prices a served decision: it
+// scores the degraded-mode fallback config, regret samples and retrain gates,
+// all off the request path, and supplies a unified selector's device features.
 type Backend struct {
 	Device string
 	Lib    *core.Library
 	Model  *sim.Model
-	Pricer Pricer
 }
 
 // Server answers kernel-selection queries for one or more device backends.
@@ -209,8 +199,7 @@ type Server struct {
 }
 
 // New builds a single-device server; the backend takes the model's device
-// name. The device model prices the library's configurations per shape to
-// report predicted performance next to each decision; it must be non-nil.
+// name. The device model must be non-nil (see Backend).
 func New(lib *core.Library, model *sim.Model, opts Options) *Server {
 	if lib == nil {
 		panic("serve: nil library")
@@ -284,21 +273,15 @@ func NewMulti(backends []Backend, opts Options) (*Server, error) {
 		}
 		be := &backend{
 			name:               b.Device,
-			custom:             b.Pricer,
 			budget:             make(chan struct{}, budget),
 			budgetCap:          budget,
-			breaker:            breaker{threshold: opts.BreakerThreshold, cooldown: opts.BreakerCooldown},
 			window:             newShapeWindow(opts.WindowSize),
 			regretHist:         newValueHistogram(regretBuckets),
 			regretDegradedHist: newValueHistogram(regretBuckets),
 		}
 		mix := mixOf(opts.TrainShapes)
 		be.driftRef.Store(&mix)
-		pricer := b.Pricer
-		if pricer == nil {
-			pricer = modelPricer{b.Model}
-		}
-		be.gen.Store(s.newGeneration(b.Device, b.Lib, b.Model, pricer))
+		be.gen.Store(s.newGeneration(b.Device, b.Lib, b.Model))
 		s.backends = append(s.backends, be)
 		s.byName[b.Device] = be
 	}
@@ -316,8 +299,8 @@ func NewMulti(backends []Backend, opts Options) (*Server, error) {
 // "one artifact for every device" deployment. Each model contributes a
 // backend named after its device; at dispatch the backend appends its
 // device's feature vector to the request shape, so per-device answers come
-// from the single shared selector while caches, budgets and metrics stay
-// per-device as in NewMulti.
+// from the single shared selector while budgets and metrics stay per-device as
+// in NewMulti.
 func NewUnified(lib *core.Library, models []*sim.Model, opts Options) (*Server, error) {
 	if lib == nil {
 		return nil, errors.New("serve: nil library")
@@ -389,96 +372,48 @@ func (s *Server) backend(name string) (*backend, error) {
 	return nil, fmt.Errorf("unknown device %q (serving: %s)", name, strings.Join(s.Devices(), ", "))
 }
 
-// Decision is one answer: the chosen configuration for a shape plus the
-// device model's predicted performance, normalized against the best
-// configuration the library could have picked for that shape. Generation
-// identifies the library epoch that produced it. Degraded decisions carry
-// the backend's fallback config and no prediction (computing one is exactly
-// the work degradation avoids).
+// Decision is one answer: the chosen configuration for a shape. Generation
+// identifies the library epoch that produced it. Degraded decisions carry the
+// backend's fallback config and the reason it was served in place of the
+// selector's choice.
 type Decision struct {
-	Device          string  `json:"device"`
-	Shape           string  `json:"shape"`
-	Config          string  `json:"config"`
-	Index           int     `json:"index"`
-	KernelID        string  `json:"kernel_id"`
-	PredictedGFLOPS float64 `json:"predicted_gflops"`
-	PredictedNorm   float64 `json:"predicted_norm"`
-	Cached          bool    `json:"cached"`
-	Generation      uint64  `json:"generation"`
-	Degraded        bool    `json:"degraded,omitempty"`
-	DegradedReason  string  `json:"degraded_reason,omitempty"`
+	Device         string `json:"device"`
+	Shape          string `json:"shape"`
+	Config         string `json:"config"`
+	Index          int    `json:"index"`
+	KernelID       string `json:"kernel_id"`
+	Generation     uint64 `json:"generation"`
+	Degraded       bool   `json:"degraded,omitempty"`
+	DegradedReason string `json:"degraded_reason,omitempty"`
 }
 
-// degradedDecision stamps the generation's precomputed fallback for one
-// shape, counts it and accounts it. Degraded decisions are never cached: the
-// cache must only ever serve full-quality answers.
-func (s *Server) degradedDecision(be *backend, gen *generation, shape gemm.Shape, r degradeReason) Decision {
-	be.degraded[r].Add(1)
-	d := *gen.fb.Load()
-	d.Shape = shape.String()
-	d.DegradedReason = reasonNames[r]
+// selection answers one shape against gen and feeds the closed loop. It is
+// the one decision path — select, batch and Decide all take it — and it is a
+// compiled-selector walk plus strings rendered once per generation, so it
+// allocates nothing and can neither block nor fail. Shape is left empty for
+// the caller to fill or render.
+func (s *Server) selection(be *backend, gen *generation, shape gemm.Shape) Decision {
+	idx := gen.choose(shape)
+	d := Decision{
+		Device:     gen.device,
+		Config:     gen.configs[idx],
+		Index:      idx,
+		KernelID:   gen.kernelIDs[idx],
+		Generation: gen.id,
+	}
 	s.account(be, gen, shape, &d)
 	return d
 }
 
-// decide answers one shape without taking admission (a batch holds one
-// token for all its shapes): one cache probe, then on a miss the miss path,
-// against the backend's current generation.
-func (s *Server) decide(ctx context.Context, be *backend, shape gemm.Shape) (Decision, error) {
-	gen := be.gen.Load()
-	if d, ok := s.hit(be, gen, shape); ok {
-		return d, nil
-	}
-	return s.miss(ctx, be, gen, shape)
-}
-
-// hit probes the generation's decision cache. A hit is marked cached and
-// accounted; every caller probes exactly once per shape, so each miss counts
-// once in selectd_cache_misses_total.
-func (s *Server) hit(be *backend, gen *generation, shape gemm.Shape) (Decision, bool) {
-	d, ok := gen.cache.get(shape)
-	if ok {
-		d.Cached = true
-		s.account(be, gen, shape, &d)
-	}
-	return d, ok
-}
-
-// miss is the one cache-miss path, run once per missed shape against the
-// generation snapshot the caller probed: breaker, deadline estimate, pricing
-// pass, then breaker/EWMA/cache updates. It fails only when ctx expires
-// mid-computation; pricing failures and an open breaker degrade to the
-// fallback config instead. Aborted and degraded decisions are not cached.
-// Every decision it returns has fed the closed loop exactly once; aborted
-// requests served nothing and are not decisions.
-func (s *Server) miss(ctx context.Context, be *backend, gen *generation, shape gemm.Shape) (Decision, error) {
-	if !be.breaker.allow(time.Now()) {
-		return s.degradedDecision(be, gen, shape, reasonBreaker), nil
-	}
-	// A pricing pass costs ~computeEWMA; if the remaining deadline cannot
-	// cover it, answer the fallback now instead of burning the budget on a
-	// pass that will abort anyway.
-	if dl, ok := ctx.Deadline(); ok {
-		if est := ewmaValue(&be.computeEWMA); est > 0 && time.Until(dl) < est {
-			be.breaker.onAbort()
-			return s.degradedDecision(be, gen, shape, reasonDeadline), nil
-		}
-	}
-	start := time.Now()
-	d, err := gen.compute(ctx, shape)
-	if err != nil {
-		if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			be.breaker.onAbort()
-			return Decision{}, err
-		}
-		be.breaker.onFailure(time.Now())
-		return s.degradedDecision(be, gen, shape, reasonError), nil
-	}
-	be.breaker.onSuccess()
-	ewmaObserve(&be.computeEWMA, time.Since(start))
-	gen.cache.put(shape, d)
+// degradedDecision stamps the generation's precomputed fallback for one
+// shape, counts it and accounts it.
+func (s *Server) degradedDecision(be *backend, gen *generation, shape gemm.Shape) Decision {
+	be.degraded.Add(1)
+	d := *gen.fb.Load()
+	d.Shape = shape.String()
+	d.DegradedReason = reasonBudget
 	s.account(be, gen, shape, &d)
-	return d, nil
+	return d
 }
 
 // ---------------------------------------------------------------------------
@@ -558,7 +493,6 @@ type healthzBackend struct {
 	Selector     string `json:"selector"`
 	Configs      int    `json:"configs"`
 	Compiled     bool   `json:"compiled_selector"`
-	Breaker      string `json:"breaker"`
 	InFlight     int64  `json:"in_flight"`
 	BudgetFree   int    `json:"budget_free"`
 	BudgetCap    int    `json:"budget_cap"`
@@ -615,11 +549,9 @@ func markNoLatency(w http.ResponseWriter) {
 }
 
 // instrument wraps a handler with counter/latency accounting. The endpoint's
-// metrics are resolved once at mux construction — not per request through the
-// registry mutex — and the per-request deadline now lives in the handlers,
-// created only on paths that can block (a cache hit never needs a context,
-// and building one costs two allocations). Admission is per-backend and
-// happens inside the handlers once the device is resolved.
+// metrics are resolved once at mux construction, not per request through the
+// registry mutex. Batch admission is per-backend and happens inside the
+// handler once the device is resolved.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	e := s.metrics.endpoint(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -644,16 +576,16 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // retryAfterSeconds is the back-off hint stamped on every 429 shed and 503
-// drain/deadline response. Both conditions are transient — an EWMA decaying,
-// a deadline that was too short, a drain rotating the instance out — so one
-// second is long enough for the load balancer or the cluster router to stop
-// hammering a saturated replica and short enough that a recovered backend
-// picks its traffic back up on the next attempt.
+// drain response. Both conditions are transient — an EWMA decaying, a drain
+// rotating the instance out — so one second is long enough for the load
+// balancer or the cluster router to stop hammering a saturated replica and
+// short enough that a recovered backend picks its traffic back up on the
+// next attempt.
 const retryAfterSeconds = "1"
 
 // writeRetryable writes an error response with a Retry-After header, used by
-// every 429 shed and 503 drain/deadline path so well-behaved clients (and the
-// cluster router's backoff) know the condition is transient.
+// the 429 shed path so well-behaved clients (and the cluster router's
+// backoff) know the condition is transient.
 func writeRetryable(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Retry-After", retryAfterSeconds)
 	writeJSON(w, code, v)
@@ -672,10 +604,10 @@ func writeBodyError(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 }
 
-// admit runs the per-backend admission ladder shared by select and batch:
-// 429 when the backend's latency EWMA is over the shed threshold, a nil
-// release with ok=true when the caller should answer degraded (budget
-// exhausted), or a live release token. It writes the 429 itself.
+// admit runs a batch's per-backend admission ladder: 429 when the backend's
+// latency EWMA is over the shed threshold, a nil release with degraded=true
+// when the batch should be answered degraded (budget exhausted), or a live
+// release token. It writes the 429 itself.
 func (s *Server) admit(w http.ResponseWriter, be *backend) (release func(), degraded bool, shed bool) {
 	if be.overloaded(s.opts.ShedLatency) {
 		be.shed.Add(1)
@@ -692,11 +624,10 @@ func (s *Server) admit(w http.ResponseWriter, be *backend) (release func(), degr
 	return release, false, false
 }
 
-// handleSelect is the hot path. The steady-state request — a well-formed
-// body naming a cached shape — runs allocation-free: pooled body buffer,
-// hand-rolled parse, map-keyed backend lookup, sharded cache hit, append
-// encoding into the same pooled buffer. Everything unusual (odd JSON, cache
-// miss, degradation) steps off onto the slow path.
+// handleSelect is the hot path. A well-formed body runs allocation-free:
+// pooled body buffer, hand-rolled parse, map-keyed backend lookup, the
+// compiled selector, append encoding into the same pooled buffer. Only odd
+// JSON steps off onto the strict decoder.
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	bp := bufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
@@ -743,44 +674,8 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Cache hits are O(1) and bypass admission entirely: even a saturated
-	// backend keeps answering its steady-state shapes at full quality.
-	gen := be.gen.Load()
-	if d, ok := s.hit(be, gen, shape); ok {
-		buf = appendDecision(buf, &d)
-		buf = append(buf, '\n')
-		writeRawJSON(w, http.StatusOK, buf)
-		return
-	}
-	release, degraded, shed := s.admit(w, be)
-	if shed {
-		return
-	}
-	if degraded {
-		markNoLatency(w)
-		d := s.degradedDecision(be, gen, shape, reasonBudget)
-		buf = appendDecision(buf, &d)
-		buf = append(buf, '\n')
-		writeRawJSON(w, http.StatusOK, buf)
-		return
-	}
-	defer release()
-	be.inflight.Add(1)
-	defer be.inflight.Add(-1)
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-	defer cancel()
-	start := time.Now()
-	d, err := s.miss(ctx, be, gen, shape)
-	if err != nil {
-		writeRetryable(w, http.StatusServiceUnavailable, errorResponse{Error: "request deadline exceeded"})
-		return
-	}
-	if d.Degraded {
-		markNoLatency(w)
-	} else {
-		ewmaObserve(&be.latencyEWMA, time.Since(start))
-	}
-	buf = appendDecision(buf, &d)
+	d := s.selection(be, be.gen.Load(), shape)
+	buf = appendSelection(buf, &d, shape)
 	buf = append(buf, '\n')
 	writeRawJSON(w, http.StatusOK, buf)
 }
@@ -796,14 +691,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	if len(req.Shapes) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "batch has no shapes"})
-		return
-	}
-	if len(req.Shapes) > s.opts.MaxBatch {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: fmt.Sprintf("batch of %d shapes exceeds limit %d", len(req.Shapes), s.opts.MaxBatch),
-		})
+	if err := CheckBatchSize(len(req.Shapes)); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
 	shapes := make([]gemm.Shape, len(req.Shapes))
@@ -824,11 +713,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if shed {
 		return
 	}
+	gen := be.gen.Load()
+	results := make([]Decision, len(shapes))
 	if degraded {
-		gen := be.gen.Load()
-		results := make([]Decision, len(shapes))
 		for i, sh := range shapes {
-			results[i] = s.degradedDecision(be, gen, sh, reasonBudget)
+			results[i] = s.degradedDecision(be, gen, sh)
 		}
 		markNoLatency(w)
 		writeBatch(w, results)
@@ -838,32 +727,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	be.inflight.Add(1)
 	defer be.inflight.Add(-1)
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-	defer cancel()
 	start := time.Now()
-	results := par.Map(s.opts.Workers, len(shapes), func(i int) Decision {
-		d, err := s.decide(ctx, be, shapes[i])
-		if err != nil {
-			return Decision{} // deadline hit: stop pricing, the request is void
-		}
-		return d
-	})
-	if ctx.Err() != nil {
-		writeRetryable(w, http.StatusServiceUnavailable, errorResponse{Error: "request deadline exceeded"})
-		return
+	for i, sh := range shapes {
+		results[i] = s.selection(be, gen, sh)
+		results[i].Shape = sh.String()
 	}
-	anyDegraded := false
-	for _, d := range results {
-		if d.Degraded {
-			anyDegraded = true
-			break
-		}
-	}
-	if anyDegraded {
-		markNoLatency(w)
-	} else {
-		ewmaObserve(&be.latencyEWMA, time.Since(start))
-	}
+	ewmaObserve(&be.latencyEWMA, time.Since(start))
 	writeBatch(w, results)
 }
 
@@ -958,20 +827,18 @@ func (s *Server) handleDevices(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleHealthz keeps the load-balancer contract — 200 healthy, 503
-// draining — while the body reports per-backend detail: generation, breaker
-// state, in-flight count and remaining budget.
+// draining — while the body reports per-backend detail: generation, in-flight
+// count and remaining budget.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	resp := healthzResponse{Status: "ok", Backends: make([]healthzBackend, len(s.backends))}
 	for i, be := range s.backends {
 		gen := be.gen.Load()
-		state, _ := be.breaker.snapshot()
 		resp.Backends[i] = healthzBackend{
 			Device:       be.name,
 			Generation:   gen.id,
 			Selector:     gen.lib.SelectorName(),
 			Configs:      len(gen.lib.Configs),
 			Compiled:     gen.compiled,
-			Breaker:      state.String(),
 			InFlight:     be.inflight.Load(),
 			BudgetFree:   be.budgetFree(),
 			BudgetCap:    be.budgetCap,
@@ -993,27 +860,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	stats := make([]backendStats, len(s.backends))
 	for i, be := range s.backends {
 		gen := be.gen.Load()
-		hits, misses := gen.cache.stats()
-		state, trips := be.breaker.snapshot()
 		st := backendStats{
-			device:     be.name,
-			infoLine:   gen.infoLine,
-			generation: gen.id,
-			compiled:   gen.compiled,
-			// Cache counters are cumulative across generation swaps: the
-			// serving generation's live counts ride on the bases accumulated
-			// from displaced generations, so the rendered counters never
-			// decrease on reload.
-			hits:            be.cacheHitsBase.Load() + hits,
-			misses:          be.cacheMissesBase.Load() + misses,
-			entries:         gen.cache.len(),
+			device:          be.name,
+			infoLine:        gen.infoLine,
+			generation:      gen.id,
+			compiled:        gen.compiled,
 			inflight:        be.inflight.Load(),
 			budgetFree:      be.budgetFree(),
 			budgetCap:       be.budgetCap,
 			shed:            be.shed.Load(),
+			degraded:        be.degraded.Load(),
 			ewmaSeconds:     ewmaValue(&be.latencyEWMA).Seconds(),
-			breakerState:    state,
-			breakerTrips:    trips,
 			decisions:       be.decisions.Load(),
 			sampled:         be.sampled.Load(),
 			unsampled:       be.unsampled.Load(),
@@ -1028,9 +885,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 		if be.window != nil {
 			st.windowSize = be.window.size()
-		}
-		for r := range st.degraded {
-			st.degraded[r] = be.degraded[r].Load()
 		}
 		stats[i] = st
 	}

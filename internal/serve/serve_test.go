@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,8 +23,7 @@ import (
 )
 
 // testServer builds a server over a small sim-priced library: 24 shapes ×
-// 160 configurations keeps setup under a second while exercising the real
-// pricing path.
+// 160 configurations keeps setup under a second.
 func testServer(t testing.TB, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	model := sim.New(device.R9Nano())
@@ -88,19 +86,14 @@ func TestSelectRoundTrip(t *testing.T) {
 	if d.KernelID != want.KernelID() {
 		t.Errorf("kernel id %q, want %q", d.KernelID, want.KernelID())
 	}
-	if d.PredictedNorm <= 0 || d.PredictedNorm > 1 {
-		t.Errorf("predicted norm %v out of (0,1]", d.PredictedNorm)
-	}
-	if d.PredictedGFLOPS <= 0 {
-		t.Errorf("predicted gflops %v", d.PredictedGFLOPS)
-	}
-	if d.Cached {
-		t.Error("first request reported as cached")
+	if gen, _ := srv.Generation(""); d.Generation != gen || d.Degraded {
+		t.Errorf("decision %+v, want full quality from generation %d", d, gen)
 	}
 }
 
 func TestSelectRejectsBadRequests(t *testing.T) {
-	_, ts := testServer(t, Options{MaxBatch: 4})
+	_, ts := testServer(t, Options{})
+	oversized := `{"shapes":[` + strings.Repeat(`{"m":1,"k":1,"n":1},`, MaxBatch) + `{"m":1,"k":1,"n":1}]}`
 	cases := []struct {
 		name string
 		url  string
@@ -112,7 +105,7 @@ func TestSelectRejectsBadRequests(t *testing.T) {
 		{"negative dim", "/v1/select", `{"m":-5,"k":1,"n":1}`},
 		{"trailing garbage", "/v1/select", `{"m":1,"k":1,"n":1}{"m":2}`},
 		{"empty batch", "/v1/select/batch", `{"shapes":[]}`},
-		{"oversized batch", "/v1/select/batch", `{"shapes":[{"m":1,"k":1,"n":1},{"m":2,"k":1,"n":1},{"m":3,"k":1,"n":1},{"m":4,"k":1,"n":1},{"m":5,"k":1,"n":1}]}`},
+		{"oversized batch", "/v1/select/batch", oversized},
 		{"bad batch shape", "/v1/select/batch", `{"shapes":[{"m":1,"k":0,"n":1}]}`},
 	}
 	for _, tc := range cases {
@@ -274,76 +267,6 @@ func assertCountersMonotonic(t testing.TB, before, after map[string]float64) {
 	}
 }
 
-func TestRepeatedShapeHitsCache(t *testing.T) {
-	_, ts := testServer(t, Options{})
-	req := shapeRequest{M: 3136, K: 576, N: 128}
-
-	first := decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", req))
-	if first.Cached {
-		t.Fatal("first request claimed a cache hit")
-	}
-	second := decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", req))
-	if !second.Cached {
-		t.Fatal("repeat request missed the cache")
-	}
-	if second.Config != first.Config || second.PredictedNorm != first.PredictedNorm {
-		t.Fatalf("cache changed the decision: %+v vs %+v", first, second)
-	}
-
-	page := metricsPage(t, ts)
-	if hits := metricValue(t, page, "selectd_cache_hits_total"); hits < 1 {
-		t.Errorf("cache hits %v, want >= 1", hits)
-	}
-	if entries := metricValue(t, page, "selectd_cache_entries"); entries < 1 {
-		t.Errorf("cache entries %v, want >= 1", entries)
-	}
-}
-
-// TestCacheMissCountedOnce: every path probes the decision cache once per
-// shape, so a select miss, a Decide miss and a batch miss each add exactly
-// one to selectd_cache_misses_total, and a repeated select adds one hit.
-func TestCacheMissCountedOnce(t *testing.T) {
-	srv, ts := testServer(t, Options{})
-	dev := srv.Devices()[0]
-	check := func(step string, wantHits, wantMisses float64) {
-		t.Helper()
-		m := metricsSnapshot(t, ts)
-		hits := m[`selectd_cache_hits_total{device="`+dev+`"}`]
-		misses := m[`selectd_cache_misses_total{device="`+dev+`"}`]
-		if hits != wantHits || misses != wantMisses {
-			t.Fatalf("after %s: hits %v misses %v, want %v and %v", step, hits, misses, wantHits, wantMisses)
-		}
-	}
-	req := shapeRequest{M: 3136, K: 576, N: 128}
-	if d := decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", req)); d.Cached {
-		t.Fatalf("first select claimed a hit: %+v", d)
-	}
-	check("a select miss", 0, 1)
-	if d := decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", req)); !d.Cached {
-		t.Fatalf("repeat select missed: %+v", d)
-	}
-	check("a select hit", 1, 1)
-	if d, err := srv.Decide(context.Background(), "", gemm.Shape{M: 784, K: 1152, N: 256}); err != nil || d.Cached {
-		t.Fatalf("Decide miss: %+v, %v", d, err)
-	}
-	check("a Decide miss", 1, 2)
-	batch := batchRequest{Shapes: []batchShape{{M: 196, K: 2304, N: 512}}}
-	if br := decodeResp[batchResponse](t, postJSON(t, ts.URL+"/v1/select/batch", batch)); len(br.Results) != 1 || br.Results[0].Cached {
-		t.Fatalf("batch miss: %+v", br)
-	}
-	check("a batch miss", 1, 3)
-}
-
-func TestCacheDisabled(t *testing.T) {
-	_, ts := testServer(t, Options{CacheSize: -1})
-	req := shapeRequest{M: 3136, K: 576, N: 128}
-	decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", req))
-	d := decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", req))
-	if d.Cached {
-		t.Fatal("disabled cache reported a hit")
-	}
-}
-
 func TestMetricsPage(t *testing.T) {
 	_, ts := testServer(t, Options{})
 	decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", shapeRequest{M: 49, K: 960, N: 160}))
@@ -373,9 +296,9 @@ func TestMetricsPage(t *testing.T) {
 	}
 }
 
-// Budget exhaustion no longer errors: the request is answered with the
-// backend's fallback config, marked degraded, and kept out of the cache and
-// the latency histogram.
+// Budget exhaustion does not error: the batch is answered with the backend's
+// fallback config, marked degraded, and kept out of the latency histogram.
+// Selects take no admission token, so they keep full service throughout.
 func TestBudgetExhaustionDegrades(t *testing.T) {
 	srv, ts := testServer(t, Options{MaxInFlight: 2})
 	be := srv.backends[0]
@@ -387,23 +310,31 @@ func TestBudgetExhaustionDegrades(t *testing.T) {
 	if !ok1 || !ok2 {
 		t.Fatal("could not saturate a 2-token budget")
 	}
-	d := decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", shapeRequest{M: 10, K: 10, N: 10}))
-	if !d.Degraded || d.DegradedReason != "budget" {
-		t.Fatalf("saturated request not degraded(budget): %+v", d)
+	batch := func() Decision {
+		t.Helper()
+		br := decodeResp[batchResponse](t, postJSON(t, ts.URL+"/v1/select/batch",
+			batchRequest{Shapes: []batchShape{{M: 10, K: 10, N: 10}}}))
+		if len(br.Results) != 1 {
+			t.Fatalf("%d results for a one-shape batch", len(br.Results))
+		}
+		return br.Results[0]
+	}
+	d := batch()
+	if !d.Degraded || d.DegradedReason != "budget" || d.Shape != "10x10x10" {
+		t.Fatalf("saturated batch not degraded(budget): %+v", d)
 	}
 	if d.Config != be.gen.Load().fb.Load().Config {
 		t.Errorf("degraded config %q, want fallback %q", d.Config, be.gen.Load().fb.Load().Config)
 	}
-	if _, ok := be.gen.Load().cache.get(gemm.Shape{M: 10, K: 10, N: 10}); ok {
-		t.Error("degraded decision was cached")
+	if d := decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", shapeRequest{M: 10, K: 10, N: 10})); d.Degraded {
+		t.Fatalf("select degraded on an exhausted batch budget: %+v", d)
 	}
 	rel1()
 	rel2()
 
-	// Capacity restored: the same request gets full service.
-	d = decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", shapeRequest{M: 10, K: 10, N: 10}))
-	if d.Degraded {
-		t.Fatalf("request degraded after budget release: %+v", d)
+	// Capacity restored: the same batch gets full service.
+	if d := batch(); d.Degraded {
+		t.Fatalf("batch degraded after budget release: %+v", d)
 	}
 
 	page := metricsPage(t, ts)
@@ -413,7 +344,7 @@ func TestBudgetExhaustionDegrades(t *testing.T) {
 	// Degraded responses do almost no work, so they must not contribute
 	// (zero-duration) observations to the latency histogram: only the
 	// full-service 200 counts.
-	if got := metricValue(t, page, `selectd_request_seconds_count{endpoint="select"}`); got != 1 {
+	if got := metricValue(t, page, `selectd_request_seconds_count{endpoint="batch"}`); got != 1 {
 		t.Errorf("latency observations %v, want 1 (degraded must not be observed)", got)
 	}
 	if free := metricValue(t, page, `selectd_budget_tokens{device="amd-r9-nano"}`); free != 2 {
@@ -422,14 +353,14 @@ func TestBudgetExhaustionDegrades(t *testing.T) {
 }
 
 // When a backend's full-service latency EWMA exceeds the shed threshold, new
-// uncached requests draw 429 and count toward the per-device shed series —
-// without a latency observation.
+// batches draw 429 and count toward the per-device shed series — without a
+// latency observation. Selects are never shed.
 func TestShedsAtLatencyThreshold(t *testing.T) {
 	srv, ts := testServer(t, Options{ShedLatency: time.Millisecond})
 	be := srv.backends[0]
 	ewmaObserve(&be.latencyEWMA, 50*time.Millisecond)
 
-	resp := postJSON(t, ts.URL+"/v1/select", shapeRequest{M: 10, K: 10, N: 10})
+	resp := postJSON(t, ts.URL+"/v1/select/batch", batchRequest{Shapes: []batchShape{{M: 10, K: 10, N: 10}}})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overloaded: status %d, want 429", resp.StatusCode)
 	}
@@ -442,37 +373,16 @@ func TestShedsAtLatencyThreshold(t *testing.T) {
 	if shed := metricValue(t, page, `selectd_shed_total{device="amd-r9-nano"}`); shed != 1 {
 		t.Errorf("shed counter %v, want 1", shed)
 	}
-	if got := metricValue(t, page, `selectd_requests_total{endpoint="select",code="429"}`); got != 1 {
+	if got := metricValue(t, page, `selectd_requests_total{endpoint="batch",code="429"}`); got != 1 {
 		t.Errorf("429 count %v, want 1", got)
 	}
-	if got := metricValue(t, page, `selectd_request_seconds_count{endpoint="select"}`); got != 0 {
+	if got := metricValue(t, page, `selectd_request_seconds_count{endpoint="batch"}`); got != 0 {
 		t.Errorf("latency observations %v, want 0 (sheds must not be observed)", got)
 	}
 
-	// A cached shape keeps serving at full quality through the overload.
-	be.latencyEWMA.Store(0)
-	warm := decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", shapeRequest{M: 10, K: 10, N: 10}))
-	if warm.Cached || warm.Degraded {
-		t.Fatalf("warmup response unexpected: %+v", warm)
-	}
-	ewmaObserve(&be.latencyEWMA, 50*time.Millisecond)
-	hit := decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", shapeRequest{M: 10, K: 10, N: 10}))
-	if !hit.Cached || hit.Degraded {
-		t.Fatalf("cache hit should bypass shedding: %+v", hit)
-	}
-}
-
-func TestBatchDeadlineExceeded(t *testing.T) {
-	_, ts := testServer(t, Options{RequestTimeout: time.Nanosecond})
-	resp := postJSON(t, ts.URL+"/v1/select/batch", batchRequest{
-		Shapes: []batchShape{{M: 7, K: 7, N: 7}},
-	})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Retry-After"); got != retryAfterSeconds {
-		t.Errorf("deadline Retry-After = %q, want %q", got, retryAfterSeconds)
+	// A select keeps serving at full quality through the overload.
+	if d := decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", shapeRequest{M: 10, K: 10, N: 10})); d.Degraded || d.Config == "" {
+		t.Fatalf("select through the overload: %+v", d)
 	}
 }
 
@@ -538,11 +448,11 @@ func TestBatchAgreesWithOfflineOnDataset(t *testing.T) {
 	}
 }
 
-// TestConcurrentTrafficConsistency hammers select and batch concurrently and
-// checks every response agrees with the offline path — the race detector
-// covers the cache and metrics under this load.
+// TestConcurrentTrafficConsistency hammers select concurrently and checks
+// every response agrees with the offline path — the race detector covers the
+// closed-loop accounting and metrics under this load.
 func TestConcurrentTrafficConsistency(t *testing.T) {
-	srv, ts := testServer(t, Options{CacheSize: 8})
+	srv, ts := testServer(t, Options{})
 	probe := []gemm.Shape{
 		{M: 784, K: 1152, N: 256}, {M: 1, K: 4096, N: 1000}, {M: 3136, K: 64, N: 64},
 		{M: 49, K: 960, N: 160}, {M: 196, K: 384, N: 64}, {M: 12544, K: 16, N: 96},

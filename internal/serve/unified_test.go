@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"kernelselect/internal/core"
@@ -76,35 +75,32 @@ func TestUnifiedServingAgreesWithInMemorySelector(t *testing.T) {
 	}
 }
 
-// Per-device decision caches stay partitioned even though every backend
-// shares one selector: a shape warmed on one device must not satisfy another
-// device's first request, and the per-device metric series stay separate.
-func TestUnifiedPerDeviceCacheKeying(t *testing.T) {
-	srv, _, specs := unifiedTestServer(t, Options{})
+// Per-device serving state stays partitioned even though every backend
+// shares one selector: each device answers with its own device features, and
+// the per-device metric series count only that device's decisions.
+func TestUnifiedPerDeviceDecisions(t *testing.T) {
+	srv, lib, specs := unifiedTestServer(t, Options{})
 	ts := unifiedHTTPServer(t, srv)
-	req := shapeRequest{M: 784, K: 1152, N: 256}
+	shape := gemm.Shape{M: 784, K: 1152, N: 256}
+	req := shapeRequest{M: shape.M, K: shape.K, N: shape.N}
 
-	first := req
-	first.Device = specs[0].Name
-	decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", first))
-	if d := decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", first)); !d.Cached {
-		t.Fatal("repeat request missed its own device's cache")
-	}
-	second := req
-	second.Device = specs[1].Name
-	if d := decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", second)); d.Cached {
-		t.Fatal("first request on another device hit a foreign cache entry")
+	for i, n := range []int{2, 1} {
+		r := req
+		r.Device = specs[i].Name
+		for j := 0; j < n; j++ {
+			d := decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", r))
+			if want := lib.UnifiedChooseIndex(shape, specs[i].Features()); d.Device != specs[i].Name || d.Index != want {
+				t.Fatalf("%s: decision %+v, want index %d", specs[i].Name, d, want)
+			}
+		}
 	}
 
 	page := metricsPage(t, ts)
-	if got := metricValue(t, page, `selectd_cache_hits_total{device="`+specs[0].Name+`"}`); got != 1 {
-		t.Errorf("%s cache hits %v, want 1", specs[0].Name, got)
-	}
-	if got := metricValue(t, page, `selectd_cache_hits_total{device="`+specs[1].Name+`"}`); got != 0 {
-		t.Errorf("%s cache hits %v, want 0", specs[1].Name, got)
-	}
-	if !strings.Contains(page, `selectd_cache_entries{device="`+specs[1].Name+`"}`) {
-		t.Errorf("metrics page missing per-device cache series for %s", specs[1].Name)
+	for i, want := range []float64{2, 1, 0} {
+		series := `selectd_decisions_total{device="` + specs[i].Name + `"}`
+		if got := metricValue(t, page, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
 	}
 }
 

@@ -53,7 +53,7 @@ func newShapeWindow(capacity int) *shapeWindow {
 
 // add appends one served shape, evicting the shard's oldest entry when full.
 // It allocates nothing and holds one shard mutex for a few instructions, so
-// it is safe on the 0-alloc cache-hit path.
+// it is safe on the 0-alloc select path.
 func (w *shapeWindow) add(s gemm.Shape) {
 	sh := &w.shards[w.next.Add(1)&(windowShards-1)]
 	sh.mu.Lock()

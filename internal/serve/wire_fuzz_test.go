@@ -51,7 +51,7 @@ func FuzzParseSelectWire(f *testing.F) {
 func FuzzScanDecisionMeta(f *testing.F) {
 	full := Decision{
 		Device: "r9nano", Shape: gemm.Shape{M: 784, K: 1152, N: 256}.String(), Config: "cfg",
-		Index: 3, KernelID: "k3", PredictedGFLOPS: 1234.5, PredictedNorm: 0.97, Cached: true, Generation: 7,
+		Index: 3, KernelID: "k3", Generation: 7,
 	}
 	degraded := full
 	degraded.Degraded, degraded.DegradedReason, degraded.Generation = true, "budget", math.MaxUint64
