@@ -40,10 +40,10 @@ race-serve:
 	$(GO) test -race ./internal/serve ./internal/sim
 
 # Targeted race pass over the closed-loop machinery: regret accounting, the
-# drift window, fallback relearning, and the shadow-retrain path, including
-# the deterministic end-to-end loop test.
+# drift window, and the shadow-retrain path, including the deterministic
+# end-to-end loop test.
 race-retrain:
-	$(GO) test -race -run 'TestClosedLoop|TestRetrain|TestRegret|TestDrift|TestWindow|TestFallback' ./internal/serve
+	$(GO) test -race -run 'TestClosedLoop|TestRetrain|TestRegret|TestDrift|TestWindow' ./internal/serve
 
 # Targeted race pass over the unified-artifact path: one shared selector
 # behind every device backend (concurrent per-device dispatch and reload),
@@ -68,9 +68,9 @@ bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
 # Pricing micro-benchmark gate: BenchmarkPriceBatch (the vectorized pricing
-# pass behind offline dataset builds, selectd's off-path regret sampling and
-# fallback relearning — no served decision prices anything) must stay within
-# PRICE_TOLERANCE x the committed baseline ns/op in BENCH_price.txt. The
+# pass behind offline dataset builds and selectd's off-path regret sampling
+# and retrain gates — no served decision or reload prices anything) must stay
+# within PRICE_TOLERANCE x the committed baseline ns/op in BENCH_price.txt. The
 # factor is deliberately loose — shared CI boxes swing 1.5x run to run, while
 # falling back to the scalar path is a ~3.5x regression (see
 # BenchmarkPriceLoop in the same file), so 2.5x separates noise from loss of
@@ -129,10 +129,12 @@ bench-serve:
 #      shared-box scheduler jitter swings the quantile by an order of
 #      magnitude, so an absolute -p99-slack carries the comparison;
 #      bench-serve is the precise measurement.
-#   2. a coarse open-loop ramp on the same default server must keep the
-#      saturation knee at or above 7000 QPS. The ramp starts well below the
-#      floor so a capacity regression surfaces as a knee below it rather than
-#      a vacuous first-step knee; -knee-qps 0.9 absorbs scheduler noise.
+#   2. a coarse open-loop ramp on the same default server must sustain
+#      7000 QPS: the highest step that did not saturate (the last step when
+#      there is no knee) must achieve at least 95% of it, so a knee on the
+#      top step fails. The ramp starts well below the floor so a capacity
+#      regression surfaces as a knee below it; -knee-qps 0.9 absorbs
+#      scheduler noise.
 #   3. a fully-sampled closed-loop run must hold every device's mean sampled
 #      regret under 0.05. The full-mix selector measures ~0.001-0.006, so the
 #      ceiling has ~10x headroom for tie-break jitter while a selector that

@@ -23,7 +23,7 @@
 // backend's device feature vector to the shape and one selector answers for
 // the whole fleet — including synthetic held-out specs
 // (-devices synthetic-fiji-32cu,...) the selector never trained on.
-// Per-device budgets and metrics are unchanged; only the selector is shared.
+// Per-device metrics are unchanged; only the selector is shared.
 // -unified is exclusive with -library, -selector-file, -save, and -retrain
 // (the shadow retrainer produces shape-only libraries, which the reload path
 // would reject).
@@ -35,20 +35,15 @@
 //	POST /v1/reload        {"device":"..."} → hot-swap that backend onto a freshly loaded/retrained library
 //	GET  /v1/configs       the served kernel set and selector (?device= picks a backend)
 //	GET  /v1/devices       hosted device backends and the default route
-//	GET  /metrics          Prometheus text: request counters, latency histograms, per-device budget/degradation series
-//	GET  /healthz          200 ok / 503 draining; body carries per-backend generation and budget detail
+//	GET  /metrics          Prometheus text: request counters, latency histograms, per-device decision and closed-loop series
+//	GET  /healthz          200 ok / 503 draining; body carries per-backend generation and selector detail
 //
-// Decisions: a select is the generation's compiled selector plus config and
-// kernel-ID strings rendered once per generation — tens of nanoseconds for a
-// tree, with nothing to cache and nothing that can block or fail, so a select
-// takes no admission token and allocates nothing in the handler.
-//
-// Batches: each backend owns an admission budget (-max-inflight split evenly,
-// overridable per device with -budgets r9nano=64,gen9=16) that every batch
-// takes one token from, so a hot device cannot starve the others. A batch
-// that finds its budget exhausted still answers 200 with the backend's
-// precomputed fallback config and "degraded": true. -shed-latency sets an
-// EWMA batch-latency ceiling above which a backend sheds batches 429 instead.
+// Decisions: every answer, select or batch, is the generation's compiled
+// selector plus config and kernel-ID strings rendered once per generation —
+// tens of nanoseconds for a tree, with nothing to cache, ration or degrade
+// and nothing that can block or fail. A select allocates nothing in the
+// handler; a batch is bounded by serve.MaxBatch shapes, the 8 MiB body cap
+// and the HTTP server's timeouts.
 //
 // Reload is atomic: each backend's library and model live in an immutable
 // generation behind an atomic pointer; POST /v1/reload or SIGHUP (which
@@ -63,9 +58,9 @@
 // decisions is re-priced off the request path against the full configuration
 // universe and exported as selectd_regret histograms — the online analogue of
 // the paper's offline regret metric. Every decision's shape also feeds a
-// bounded sliding window (-window) from which each backend relearns its
-// degraded-mode fallback config and scores distribution drift against the
-// training mix (selectd_drift_score, a PSI). With -retrain, drift past
+// bounded sliding window (-window) from which each backend scores
+// distribution drift against the training mix (selectd_drift_score, a PSI).
+// With -retrain, drift past
 // -drift-threshold shadow-trains a fresh selector on the blended mix using
 // the daemon's own pruner/trainer and promotes it through the reload path
 // only after it passes compiled/interpreted-agreement and
@@ -94,7 +89,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -140,15 +134,12 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	devNames := fs.String("devices", "r9nano", "comma-separated device models to serve (r9nano, gen9, mali); the first is the default route")
 	savePath := fs.String("save", "", "write the default device's library artifact to this path and continue")
 
-	maxInFlight := fs.Int("max-inflight", 256, "total batch admission budget, split evenly across device backends")
-	budgetsFlag := fs.String("budgets", "", "per-device batch budget overrides, e.g. r9nano=64,gen9=16")
-	shedLatency := fs.Duration("shed-latency", 0, "shed batches 429 when a backend's batch-latency EWMA exceeds this (0 disables)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain window")
 	regretSample := fs.Float64("regret-sample", 0, "fraction of live decisions re-priced off-path for regret telemetry (0 disables)")
-	windowSize := fs.Int("window", 4096, "served-shape sliding window per device for drift scoring and fallback learning (negative disables)")
+	windowSize := fs.Int("window", 4096, "served-shape sliding window per device for drift scoring (negative disables)")
 	driftThreshold := fs.Float64("drift-threshold", 0.25, "PSI drift score above which a shadow retrain fires")
 	retrain := fs.Bool("retrain", false, "shadow-retrain the selector on the observed shape mix when drift crosses -drift-threshold")
-	maintainInterval := fs.Duration("maintain-interval", 30*time.Second, "cadence of the drift/fallback/retrain maintenance loop (0 disables it)")
+	maintainInterval := fs.Duration("maintain-interval", 30*time.Second, "cadence of the drift/retrain maintenance loop (0 disables it)")
 	pprofAddr := fs.String("pprof", "", "expose net/http/pprof on this separate listen address (empty disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -169,10 +160,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 				return fmt.Errorf("-unified is exclusive with %s", flagName)
 			}
 		}
-	}
-	budgets, err := parseBudgets(*budgetsFlag)
-	if err != nil {
-		return err
 	}
 
 	trainer, err := trainerFor(*selName)
@@ -264,9 +251,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	}
 
 	srv, err := serve.NewMulti(backends, serve.Options{
-		MaxInFlight:      *maxInFlight,
-		Budgets:          budgets,
-		ShedLatency:      *shedLatency,
 		RegretSample:     *regretSample,
 		WindowSize:       *windowSize,
 		DriftThreshold:   *driftThreshold,
@@ -419,41 +403,6 @@ func deviceFor(name string) (device.Spec, error) {
 		return spec, nil
 	}
 	return device.Spec{}, fmt.Errorf("unknown device %q", name)
-}
-
-// parseBudgets parses the -budgets flag ("r9nano=64,gen9=16", short device
-// names) into serve.Options.Budgets keyed by full device name.
-func parseBudgets(s string) (map[string]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	budgets := map[string]int{}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("budget %q: want device=tokens", part)
-		}
-		spec, err := deviceFor(strings.TrimSpace(name))
-		if err != nil {
-			return nil, fmt.Errorf("budget %q: %w", part, err)
-		}
-		tokens, err := strconv.Atoi(strings.TrimSpace(val))
-		if err != nil || tokens < 1 {
-			return nil, fmt.Errorf("budget %q: tokens must be a positive integer", part)
-		}
-		if _, dup := budgets[spec.Name]; dup {
-			return nil, fmt.Errorf("budget for %q set twice", name)
-		}
-		budgets[spec.Name] = tokens
-	}
-	if len(budgets) == 0 {
-		return nil, fmt.Errorf("no budgets in %q", s)
-	}
-	return budgets, nil
 }
 
 // devicesFor parses the -devices comma list into unique specs.

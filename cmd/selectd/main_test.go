@@ -50,31 +50,6 @@ func TestTrainerAndPrunerLookup(t *testing.T) {
 	}
 }
 
-func TestParseBudgets(t *testing.T) {
-	got, err := parseBudgets(" r9nano=64, gen9=16 ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]int{device.R9Nano().Name: 64, device.IntegratedGen9().Name: 16}
-	if len(got) != len(want) {
-		t.Fatalf("parsed %v, want %v", got, want)
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("budget[%q] = %d, want %d", k, got[k], v)
-		}
-	}
-
-	if got, err := parseBudgets(""); err != nil || got != nil {
-		t.Errorf("empty flag: %v, %v; want nil, nil", got, err)
-	}
-	for _, bad := range []string{"r9nano", "martian=4", "r9nano=0", "r9nano=-2", "r9nano=x", "r9nano=1,r9nano=2", " , "} {
-		if _, err := parseBudgets(bad); err == nil {
-			t.Errorf("parseBudgets(%q): expected error", bad)
-		}
-	}
-}
-
 // TestBuildLibraryFromArtifact checks the persisted-artifact path: a library
 // saved to disk is what the daemon loads back.
 func TestBuildLibraryFromArtifact(t *testing.T) {
@@ -178,12 +153,14 @@ func TestDevicesForParsing(t *testing.T) {
 }
 
 // selectd has no decision cache, circuit breaker, request deadline, batch
-// worker pool or batch-size setting, so their flags must fail loudly rather
-// than be accepted and ignored.
+// worker pool, batch-size setting, batch admission budget or latency shed
+// threshold, so their flags must fail loudly rather than be accepted and
+// ignored.
 func TestRemovedFlagsRejected(t *testing.T) {
 	for _, arg := range []string{
 		"-cache=4096", "-breaker-threshold=5", "-breaker-cooldown=1s",
 		"-timeout=5s", "-workers=4", "-max-batch=1024",
+		"-max-inflight=256", "-budgets=r9nano=64", "-shed-latency=10ms",
 	} {
 		var out bytes.Buffer
 		err := run(context.Background(), []string{arg}, &out)

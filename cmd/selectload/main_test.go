@@ -245,8 +245,9 @@ func TestRampAndFigure(t *testing.T) {
 	}
 }
 
-// The -require-knee gate: a found knee passes at or above the floor, and a
-// kneeless ramp passes only when it actually sustained ~the floor.
+// The -require-knee gate passes only when a step below the knee (any step,
+// without a knee) actually sustained ~the floor: a knee on the ramp's top
+// step says nothing about what that step achieved.
 func TestGateKnee(t *testing.T) {
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
@@ -258,10 +259,20 @@ func TestGateKnee(t *testing.T) {
 		rr   rampReport
 		want bool
 	}{
-		{"knee above floor", rampReport{KneeQPS: 8000, Steps: []rampStep{{}}}, true},
-		{"knee below floor", rampReport{KneeQPS: 5000, Steps: []rampStep{{}}}, false},
-		{"no knee, capacity proven", rampReport{Steps: []rampStep{{AchievedQPS: 6700}}}, true},
-		{"no knee, ceiling too low", rampReport{Steps: []rampStep{{AchievedQPS: 4000}}}, false},
+		{"knee on the top step", rampReport{KneeQPS: 8000, Steps: []rampStep{
+			{OfferedQPS: 2000, AchievedQPS: 2000}, {OfferedQPS: 4000, AchievedQPS: 4000},
+			{OfferedQPS: 6000, AchievedQPS: 5998}, {OfferedQPS: 8000, AchievedQPS: 5428},
+		}}, false},
+		{"knee above a step that held the floor", rampReport{KneeQPS: 10000, Steps: []rampStep{
+			{OfferedQPS: 5000, AchievedQPS: 5000}, {OfferedQPS: 7500, AchievedQPS: 7490},
+			{OfferedQPS: 10000, AchievedQPS: 8000},
+		}}, true},
+		{"knee below floor", rampReport{KneeQPS: 5000, Steps: []rampStep{
+			{OfferedQPS: 2500, AchievedQPS: 2500}, {OfferedQPS: 5000, AchievedQPS: 3000},
+		}}, false},
+		{"knee on the first step", rampReport{KneeQPS: 2000, Steps: []rampStep{{OfferedQPS: 2000, AchievedQPS: 1000}}}, false},
+		{"no knee, capacity proven", rampReport{Steps: []rampStep{{OfferedQPS: 8000, AchievedQPS: 6700}}}, true},
+		{"no knee, ceiling too low", rampReport{Steps: []rampStep{{OfferedQPS: 4000, AchievedQPS: 4000}}}, false},
 	}
 	for _, tc := range cases {
 		if got := gateKnee(devnull, tc.rr, 7000); got != tc.want {

@@ -88,7 +88,6 @@ func regretSettled(m map[string]float64) bool {
 	for _, dev := range metricDevices(m, "selectd_decisions_sampled_total") {
 		sampled := m[fmt.Sprintf("selectd_decisions_sampled_total{device=%q}", dev)]
 		measured := m[fmt.Sprintf("selectd_regret_count{device=%q}", dev)] +
-			m[fmt.Sprintf("selectd_regret_degraded_count{device=%q}", dev)] +
 			m[fmt.Sprintf("selectd_regret_dropped_total{device=%q}", dev)]
 		if measured < sampled {
 			return false

@@ -143,7 +143,7 @@ func buildScaleFleet(n int, seed uint64, edgeCache bool) (*scaleFleet, error) {
 		model := sim.New(spec)
 		ds := dataset.Build(model, trainShapes, configs)
 		lib := core.BuildLibrary(ds, core.DecisionTree{}, core.DecisionTreeSelector{}, 8, seed)
-		srv := serve.New(lib, model, serve.Options{FallbackShapes: allShapes})
+		srv := serve.New(lib, model, serve.Options{})
 		o := faultinject.NewOutage()
 		ts := httptest.NewServer(o.Middleware(srv.Handler()))
 		f.srvs = append(f.srvs, srv)
@@ -155,7 +155,7 @@ func buildScaleFleet(n int, seed uint64, edgeCache bool) (*scaleFleet, error) {
 	model := sim.New(spec)
 	ds := dataset.Build(model, trainShapes, configs)
 	lib := core.BuildLibrary(ds, core.DecisionTree{}, core.DecisionTreeSelector{}, 8, seed)
-	f.local = serve.New(lib, model, serve.Options{FallbackShapes: allShapes})
+	f.local = serve.New(lib, model, serve.Options{})
 
 	ropts := cluster.Options{
 		Replicas:      replicas,

@@ -249,7 +249,7 @@ func localEngine(devName, selName string, n int, seed uint64) (*serve.Server, er
 	shapes, _ := workload.DatasetShapes()
 	ds := dataset.Build(model, shapes, gemm.AllConfigs())
 	lib := core.BuildLibrary(ds, core.DecisionTree{}, trainer, n, seed)
-	return serve.New(lib, model, serve.Options{FallbackShapes: shapes}), nil
+	return serve.New(lib, model, serve.Options{}), nil
 }
 
 func deviceFor(name string) (device.Spec, error) {

@@ -141,7 +141,7 @@ func TestRunServesAndDrains(t *testing.T) {
 	}
 	ds := dataset.Build(model, shapes, gemm.AllConfigs()[:120])
 	lib := core.BuildLibrary(ds, core.DecisionTree{}, core.DecisionTreeSelector{}, 4, 42)
-	srv := serve.New(lib, model, serve.Options{FallbackShapes: shapes})
+	srv := serve.New(lib, model, serve.Options{})
 	defer srv.Close()
 	replica := httptest.NewServer(srv.Handler())
 	defer replica.Close()

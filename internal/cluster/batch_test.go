@@ -15,7 +15,13 @@ import (
 // postBatch sends one raw batch body and returns (status, body).
 func postBatch(t *testing.T, url, body string) (int, []byte) {
 	t.Helper()
-	resp, err := http.Post(url+"/v1/select/batch", "application/json", strings.NewReader(body))
+	return postRaw(t, url+"/v1/select/batch", body)
+}
+
+// postRaw sends one raw JSON body and returns (status, body).
+func postRaw(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,17 +39,16 @@ func postBatch(t *testing.T, url, body string) (int, []byte) {
 // mark-down.
 func TestBatchFailsOverOnSaturation(t *testing.T) {
 	saturated := -1
-	f := newTestFleet(t, 2, Options{HedgeDelay: -1}, serveOptionsForTests(),
-		func(i int, h http.Handler) http.Handler {
-			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if i == saturated && r.URL.Path == "/v1/select/batch" {
-					w.Header().Set("Retry-After", "1")
-					w.WriteHeader(http.StatusServiceUnavailable)
-					return
-				}
-				h.ServeHTTP(w, r)
-			})
+	f := newTestFleet(t, 2, Options{HedgeDelay: -1}, func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if i == saturated && r.URL.Path == "/v1/select/batch" {
+				w.Header().Set("Retry-After", "1")
+				w.WriteHeader(http.StatusServiceUnavailable)
+				return
+			}
+			h.ServeHTTP(w, r)
 		})
+	})
 	shape := shapeWithPrimary(t, f.router, "", 0)
 	saturated = 0
 
@@ -86,7 +91,7 @@ func TestBatchClientErrorIsTheAnswer(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := newTestFleet(t, 3, Options{HedgeDelay: -1}, serveOptionsForTests(), nil)
+			f := newTestFleet(t, 3, Options{HedgeDelay: -1}, nil)
 			if !tc.fleetUp {
 				for i := range f.srvs {
 					f.router.MarkDown(replicaName(i))
@@ -118,11 +123,13 @@ func TestBatchClientErrorIsTheAnswer(t *testing.T) {
 	}
 }
 
-// The router enforces selectd's batch contract itself: each body gets the
-// status and body a bare replica gives it, whether the batch is empty,
-// over the size limit, or fine. The router must refuse an oversized batch
-// before fan-out — each replica sees only its group, so otherwise the
-// refusal would depend on how the shapes hash across the fleet.
+// The router enforces selectd's request contract itself: each select and
+// batch body gets the status and body a bare replica gives it, whether it is
+// malformed, carries unknown fields or trailing data, names an unknown
+// device, is empty, over the size limit, or fine. Both tiers parse with
+// serve's parsers and resolve the device afterwards. The router must refuse
+// an oversized batch before fan-out — each replica sees only its group, so
+// otherwise the refusal would depend on how the shapes hash across the fleet.
 func TestRouterBatchMatchesReplica(t *testing.T) {
 	var oversized strings.Builder
 	oversized.WriteString(`{"shapes":[`)
@@ -135,18 +142,30 @@ func TestRouterBatchMatchesReplica(t *testing.T) {
 	}
 	oversized.WriteString(`]}`)
 
-	f := newTestFleet(t, 3, Options{HedgeDelay: -1}, serveOptionsForTests(), nil)
-	for _, tc := range []struct{ name, body string }{
-		{"empty shapes", `{"shapes":[]}`},
-		{"no shapes", `{}`},
-		{"1500 shapes", oversized.String()},
-		{"invalid shape", `{"shapes":[{"m":784,"k":1152,"n":256},{"m":0,"k":1,"n":1}]}`},
-		{"unknown device", `{"device":"martian","shapes":[{"m":1,"k":1,"n":1}]}`},
-		{"valid", `{"shapes":[{"m":784,"k":1152,"n":256},{"m":1,"k":4096,"n":1000},{"m":3136,"k":64,"n":64}]}`},
+	const batch, sel = "/v1/select/batch", "/v1/select"
+	f := newTestFleet(t, 3, Options{HedgeDelay: -1}, nil)
+	for _, tc := range []struct{ name, endpoint, body string }{
+		{"empty shapes", batch, `{"shapes":[]}`},
+		{"no shapes", batch, `{}`},
+		{"1500 shapes", batch, oversized.String()},
+		{"invalid shape", batch, `{"shapes":[{"m":784,"k":1152,"n":256},{"m":0,"k":1,"n":1}]}`},
+		{"unknown device", batch, `{"device":"martian","shapes":[{"m":1,"k":1,"n":1}]}`},
+		{"unknown device, no shapes", batch, `{"device":"martian","shapes":[]}`},
+		{"unknown field", batch, `{"shapes":[{"m":784,"k":1152,"n":256}],"extra":1}`},
+		{"unknown shape field", batch, `{"shapes":[{"m":784,"k":1152,"n":256,"q":2}]}`},
+		{"device inside a shape", batch, `{"shapes":[{"m":784,"k":1152,"n":256,"device":"amd-r9-nano"}]}`},
+		{"truncated", batch, `{"shapes":[`},
+		{"trailing data", batch, `{"shapes":[{"m":784,"k":1152,"n":256}]}{"shapes":[]}`},
+		{"valid", batch, `{"shapes":[{"m":784,"k":1152,"n":256},{"m":1,"k":4096,"n":1000},{"m":3136,"k":64,"n":64}]}`},
+		{"select unknown field", sel, `{"m":784,"k":1152,"n":256,"q":2}`},
+		{"select trailing data", sel, `{"m":784,"k":1152,"n":256}{"m":1}`},
+		{"select truncated", sel, `{"m":`},
+		{"select invalid shape, unknown device", sel, `{"m":0,"k":1,"n":1,"device":"martian"}`},
+		{"select valid", sel, `{"m":784,"k":1152,"n":256}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			status, got := postBatch(t, f.rts.URL, tc.body)
-			wantStatus, want := postBatch(t, f.reps[0].URL, tc.body)
+			status, got := postRaw(t, f.rts.URL+tc.endpoint, tc.body)
+			wantStatus, want := postRaw(t, f.reps[0].URL+tc.endpoint, tc.body)
 			if status != wantStatus || !bytes.Equal(got, want) {
 				t.Errorf("router answers %d %.200q, replica %d %.200q", status, got, wantStatus, want)
 			}

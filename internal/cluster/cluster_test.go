@@ -42,21 +42,18 @@ type testFleet struct {
 	lib    *core.Library
 }
 
-// newTestFleet spins up n replicas. wrap, when non-nil, may interpose a
-// middleware on replica i's handler (delays, outages); serveOpts applies to
-// every replica; ropts.Replicas/Local are filled in here.
-func newTestFleet(t testing.TB, n int, ropts Options, serveOpts serve.Options, wrap func(i int, h http.Handler) http.Handler) *testFleet {
+// newTestFleet spins up n default-option replicas. wrap, when non-nil, may
+// interpose a middleware on replica i's handler (delays, outages);
+// ropts.Replicas/Local are filled in here.
+func newTestFleet(t testing.TB, n int, ropts Options, wrap func(i int, h http.Handler) http.Handler) *testFleet {
 	t.Helper()
 	model := sim.New(device.R9Nano())
 	lib := buildFleetLib(t, model, 6)
-	if serveOpts.FallbackShapes == nil {
-		serveOpts.FallbackShapes = fleetShapes
-	}
 
 	f := &testFleet{model: model, lib: lib}
 	replicas := make([]*Replica, n)
 	for i := 0; i < n; i++ {
-		srv := serve.New(lib, model, serveOpts)
+		srv := serve.New(lib, model, serve.Options{})
 		h := http.Handler(srv.Handler())
 		if wrap != nil {
 			h = wrap(i, h)
@@ -66,7 +63,7 @@ func newTestFleet(t testing.TB, n int, ropts Options, serveOpts serve.Options, w
 		f.reps = append(f.reps, ts)
 		replicas[i] = NewReplica(replicaName(i), ts.URL, nil)
 	}
-	f.local = serve.New(lib, model, serve.Options{FallbackShapes: fleetShapes})
+	f.local = serve.New(lib, model, serve.Options{})
 	ropts.Replicas = replicas
 	ropts.Local = f.local
 	router, err := New(ropts)

@@ -43,8 +43,7 @@ func routerReload(t *testing.T, url, replica string) reloadSummary {
 // edge entries: the victim's shard re-prices on the new generation while its
 // peer's cached shard keeps answering without an upstream hop.
 func TestEdgeReloadEvictsOnlyVictimShard(t *testing.T) {
-	f := newTestFleet(t, 2, Options{HedgeDelay: -1, EdgeCacheSize: 1024},
-		serveOptionsForTests(), nil)
+	f := newTestFleet(t, 2, Options{HedgeDelay: -1, EdgeCacheSize: 1024}, nil)
 	libB := buildFleetLib(t, f.model, 4)
 	for _, srv := range f.srvs {
 		srv.SetReloadSource(func(string) (*core.Library, *sim.Model, error) {
@@ -109,8 +108,7 @@ func TestEdgeReloadEvictsOnlyVictimShard(t *testing.T) {
 // caught by the next probe round: the generation register advances from the
 // gossiped view and the stale entry is never served again.
 func TestEdgeProbeEvictsOutOfBandReload(t *testing.T) {
-	f := newTestFleet(t, 1, Options{HedgeDelay: -1, EdgeCacheSize: 1024},
-		serveOptionsForTests(), nil)
+	f := newTestFleet(t, 1, Options{HedgeDelay: -1, EdgeCacheSize: 1024}, nil)
 	shape := fleetShapes[3]
 	if status, d := routerSelect(t, f.rts.URL, shape); status != http.StatusOK || d.Generation != 1 {
 		t.Fatalf("fill request: status %d generation %d", status, d.Generation)
@@ -141,8 +139,7 @@ func TestEdgeProbeEvictsOutOfBandReload(t *testing.T) {
 // fallback nor a degraded body passed through from a pressured replica.
 func TestEdgeDegradedNeverCached(t *testing.T) {
 	t.Run("local-fallback", func(t *testing.T) {
-		f := newTestFleet(t, 1, Options{HedgeDelay: -1, EdgeCacheSize: 1024},
-			serveOptionsForTests(), nil)
+		f := newTestFleet(t, 1, Options{HedgeDelay: -1, EdgeCacheSize: 1024}, nil)
 		f.router.MarkDown(replicaName(0))
 		for i := 0; i < 2; i++ {
 			status, d := routerSelect(t, f.rts.URL, fleetShapes[0])
@@ -170,8 +167,7 @@ func TestEdgeDegradedNeverCached(t *testing.T) {
 				h.ServeHTTP(w, r)
 			})
 		}
-		f := newTestFleet(t, 1, Options{HedgeDelay: -1, EdgeCacheSize: 1024},
-			serveOptionsForTests(), wrap)
+		f := newTestFleet(t, 1, Options{HedgeDelay: -1, EdgeCacheSize: 1024}, wrap)
 		for i := 0; i < 2; i++ {
 			status, d := routerSelect(t, f.rts.URL, fleetShapes[3])
 			if status != http.StatusOK || !d.Degraded {

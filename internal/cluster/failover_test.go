@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"kernelselect/internal/serve"
 )
 
 // The router failover table: who answers when replicas die, and how it is
@@ -33,7 +31,7 @@ func TestRouterFailoverTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := newTestFleet(t, 3, Options{HedgeDelay: -1}, serveOptionsForTests(), nil)
+			f := newTestFleet(t, 3, Options{HedgeDelay: -1}, nil)
 			shape := shapeWithPrimary(t, f.router, "", 0)
 			order := f.router.ring.candidates("", shape)
 			for _, pos := range tc.down {
@@ -79,28 +77,20 @@ func TestRouterFailoverTable(t *testing.T) {
 	}
 }
 
-// serveOptionsForTests keeps replica behavior deterministic for failover
-// accounting: no shedding, ample budget.
-func serveOptionsForTests() serve.Options {
-	return serve.Options{MaxInFlight: 64}
-}
-
 // A slow primary loses to the hedge: the hedged attempt launches after
 // HedgeDelay, wins, and is counted exactly once — one win total, one hedge,
 // one hedge win, one 200.
 func TestHedgedWinnerCountedOnce(t *testing.T) {
 	const primaryDelay = 400 * time.Millisecond
 	var slowIdx = -1
-	f := newTestFleet(t, 2, Options{HedgeDelay: 10 * time.Millisecond, Retries: 2},
-		serveOptionsForTests(),
-		func(i int, h http.Handler) http.Handler {
-			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if i == slowIdx && strings.HasPrefix(r.URL.Path, "/v1/select") {
-					time.Sleep(primaryDelay)
-				}
-				h.ServeHTTP(w, r)
-			})
+	f := newTestFleet(t, 2, Options{HedgeDelay: 10 * time.Millisecond, Retries: 2}, func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if i == slowIdx && strings.HasPrefix(r.URL.Path, "/v1/select") {
+				time.Sleep(primaryDelay)
+			}
+			h.ServeHTTP(w, r)
 		})
+	})
 	shape := shapeWithPrimary(t, f.router, "", 0)
 	order := f.router.ring.candidates("", shape)
 	slowIdx = order[0]
@@ -137,7 +127,7 @@ func TestHedgedWinnerCountedOnce(t *testing.T) {
 // failed attempt itself, and the retry serves the request from the successor
 // — the client sees one ordinary 200.
 func TestDeadReplicaMarkedDownAndRetried(t *testing.T) {
-	f := newTestFleet(t, 2, Options{HedgeDelay: -1, Retries: 2}, serveOptionsForTests(), nil)
+	f := newTestFleet(t, 2, Options{HedgeDelay: -1, Retries: 2}, nil)
 	shape := shapeWithPrimary(t, f.router, "", 0)
 	order := f.router.ring.candidates("", shape)
 
@@ -171,7 +161,7 @@ func TestDeadReplicaMarkedDownAndRetried(t *testing.T) {
 // An unpriceable request (invalid shape) stays a client error even with the
 // fleet dark — the no-5xx guarantee is scoped to priceable shapes.
 func TestUnpriceableShapeStays400(t *testing.T) {
-	f := newTestFleet(t, 2, Options{HedgeDelay: -1}, serveOptionsForTests(), nil)
+	f := newTestFleet(t, 2, Options{HedgeDelay: -1}, nil)
 	for i := range f.srvs {
 		f.router.MarkDown(replicaName(i))
 	}

@@ -49,7 +49,7 @@ func TestHealthMergeSeqWins(t *testing.T) {
 // Two routers over the same fleet converge through POST /v1/cluster: A's
 // fresher down observation reaches B and B's view flips.
 func TestClusterGossipConverges(t *testing.T) {
-	f := newTestFleet(t, 2, Options{Name: "router-a", HedgeDelay: -1}, serveOptionsForTests(), nil)
+	f := newTestFleet(t, 2, Options{Name: "router-a", HedgeDelay: -1}, nil)
 
 	// Second router over the same replicas.
 	reps := make([]*Replica, len(f.reps))
@@ -104,7 +104,7 @@ func TestClusterGossipConverges(t *testing.T) {
 // ProbeOnce recovers a wrongly-down replica (it answers healthz) and demotes
 // a dead one, folding per-device generations into the view.
 func TestProbeOnceReconverges(t *testing.T) {
-	f := newTestFleet(t, 2, Options{HedgeDelay: -1}, serveOptionsForTests(), nil)
+	f := newTestFleet(t, 2, Options{HedgeDelay: -1}, nil)
 
 	// Falsely down: a probe round brings it back.
 	f.router.MarkDown("replica-a")

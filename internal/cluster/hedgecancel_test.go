@@ -37,8 +37,7 @@ func TestHedgeWinnerCancelsLoser(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	}
-	f := newTestFleet(t, 2, Options{HedgeDelay: 5 * time.Millisecond, Retries: 2},
-		serveOptionsForTests(), wrap)
+	f := newTestFleet(t, 2, Options{HedgeDelay: 5 * time.Millisecond, Retries: 2}, wrap)
 	shape := shapeWithPrimary(t, f.router, "", 0)
 	slowIdx.Store(0)
 

@@ -74,8 +74,7 @@ var hotPayload = []byte(`{"m":784,"k":1152,"n":256}`)
 // pre-rendered write, metrics, all allocation-free. A regression here is a
 // performance bug even though no behaviour changes, so it fails the build.
 func TestRouterCacheHitAllocations(t *testing.T) {
-	f := newTestFleet(t, 1, Options{HedgeDelay: -1, EdgeCacheSize: 1024},
-		serveOptionsForTests(), nil)
+	f := newTestFleet(t, 1, Options{HedgeDelay: -1, EdgeCacheSize: 1024}, nil)
 	rr := newRouterRunner(f.router, hotPayload)
 
 	rr.run() // miss: routed upstream, fills the edge cache
@@ -96,8 +95,7 @@ func TestRouterCacheHitAllocations(t *testing.T) {
 }
 
 func BenchmarkRouterCacheHit(b *testing.B) {
-	f := newTestFleet(b, 1, Options{HedgeDelay: -1, EdgeCacheSize: 1024},
-		serveOptionsForTests(), nil)
+	f := newTestFleet(b, 1, Options{HedgeDelay: -1, EdgeCacheSize: 1024}, nil)
 	rr := newRouterRunner(f.router, hotPayload)
 	rr.run() // warm the edge cache
 	if rr.w.code != http.StatusOK {

@@ -13,7 +13,7 @@ import (
 // A rolling reload (no replica named) rolls every up replica, one at a time,
 // and reports a summary per replica.
 func TestRollingReloadAllReplicas(t *testing.T) {
-	f := newTestFleet(t, 3, Options{HedgeDelay: -1}, serveOptionsForTests(), nil)
+	f := newTestFleet(t, 3, Options{HedgeDelay: -1}, nil)
 	libB := buildFleetLib(t, f.model, 4)
 	for _, srv := range f.srvs {
 		srv.SetReloadSource(func(string) (*core.Library, *sim.Model, error) {

@@ -433,28 +433,14 @@ func (r *Router) handleSelect(w http.ResponseWriter, req *http.Request) {
 	defer selectBufPool.Put(bp)
 	body, err := serve.ReadRequestBody(w, req, (*bp)[:0])
 	*bp = body[:0]
-	if err != nil {
-		r.writeResponse(w, "select", http.StatusBadRequest, errorBody(err.Error()))
-		return
-	}
 	var shape gemm.Shape
 	var deviceB []byte // aliases body; consumed before the buffer is released
-	if m, k, n, dev, ok := serve.ParseSelectWire(body); ok {
-		shape = gemm.Shape{M: m, K: k, N: n}
-		deviceB = dev
-	} else {
-		// Anything beyond the canonical form keeps the lenient stdlib
-		// semantics the router has always had for passthrough requests.
-		var sr selectShape
-		if err := json.Unmarshal(body, &sr); err != nil {
-			r.writeResponse(w, "select", http.StatusBadRequest, errorBody(err.Error()))
-			return
-		}
-		shape = gemm.Shape{M: sr.M, K: sr.K, N: sr.N}
-		deviceB = []byte(sr.Device)
+	if err == nil {
+		shape, deviceB, err = serve.ParseSelect(body)
 	}
-	if err := shape.Validate(); err != nil {
-		r.writeResponse(w, "select", http.StatusBadRequest, errorBody(err.Error()))
+	if err != nil {
+		status, out := serve.RequestError(err)
+		r.writeResponse(w, "select", status, out)
 		return
 	}
 	if r.edge != nil {
@@ -487,39 +473,32 @@ func (r *Router) writeResponse(w http.ResponseWriter, endpoint string, status in
 // candidate list on failure), and shapes whose candidates are all down get
 // individual local fallback answers. Results return in request order. A
 // client error is the whole batch's answer, as it is from a single selectd:
-// a batch selectd would refuse for its size is refused here before fan-out,
-// a replica's 4xx other than 429 passes through verbatim, and a shape the
-// local fallback cannot answer fails the batch with the fallback's status.
+// the body is parsed by selectd's own parser before fan-out (each replica
+// sees only its group, so an empty or oversized batch would otherwise pass
+// or fail depending on how its shapes hash), a replica's 4xx other than 429
+// passes through verbatim, and a shape the local fallback cannot answer
+// fails the batch with the fallback's status.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	var br batchWire
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBody))
+	bp := selectBufPool.Get().(*[]byte)
+	defer selectBufPool.Put(bp)
+	body, err := serve.ReadRequestBody(w, req, (*bp)[:0])
+	*bp = body[:0]
+	var device string
+	var shapes []gemm.Shape
 	if err == nil {
-		err = json.Unmarshal(body, &br)
+		device, shapes, err = serve.ParseBatch(body)
 	}
 	if err != nil {
-		r.writeResponse(w, "batch", http.StatusBadRequest, errorBody(err.Error()))
+		status, out := serve.RequestError(err)
+		r.writeResponse(w, "batch", status, out)
 		return
-	}
-	// Each replica sees only its group of shapes, so an empty or oversized
-	// batch would otherwise pass or fail depending on how its shapes hash.
-	if err := serve.CheckBatchSize(len(br.Shapes)); err != nil {
-		r.writeResponse(w, "batch", http.StatusBadRequest, errorBody(err.Error()))
-		return
-	}
-	shapes := make([]gemm.Shape, len(br.Shapes))
-	for i, s := range br.Shapes {
-		shapes[i] = gemm.Shape{M: s.M, K: s.K, N: s.N}
-		if err := shapes[i].Validate(); err != nil {
-			r.writeResponse(w, "batch", http.StatusBadRequest, errorBody(fmt.Sprintf("shape %d: %v", i, err)))
-			return
-		}
 	}
 
 	// Group request indices by ring primary among routable candidates.
 	groups := make(map[int][]int)
 	var orphans []int // no routable candidate at all
 	for i, shape := range shapes {
-		alive := r.routable(r.ring.candidates(br.Device, shape))
+		alive := r.routable(r.ring.candidates(device, shape))
 		if len(alive) == 0 {
 			orphans = append(orphans, i)
 			continue
@@ -541,7 +520,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		mu.Unlock()
 	}
 	fallbackOne := func(i int) {
-		status, out := r.fallback(br.Device, shapes[i])
+		status, out := r.fallback(device, shapes[i])
 		if status != http.StatusOK {
 			fail(status, out)
 			return
@@ -562,14 +541,14 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 			}
 			// Walk this group's candidates: the primary first, then the same
 			// successor order a single request would fail over to.
-			alive := r.routable(r.ring.candidates(br.Device, group[0]))
+			alive := r.routable(r.ring.candidates(device, group[0]))
 			tried := 0
 			for _, idx := range alive {
 				if tried > r.opts.Retries {
 					break
 				}
 				tried++
-				decs, err := r.replicas[idx].Batch(req.Context(), br.Device, group)
+				decs, err := r.replicas[idx].Batch(req.Context(), device, group)
 				if err != nil {
 					var se *statusError
 					if errors.As(err, &se) && clientError(se.status) {
@@ -604,11 +583,9 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	bp := selectBufPool.Get().(*[]byte)
 	out := serve.AppendBatchJSON((*bp)[:0], results)
 	r.writeResponse(w, "batch", http.StatusOK, out)
 	*bp = out[:0]
-	selectBufPool.Put(bp)
 }
 
 // clientError reports whether a replica status blames the request rather
@@ -635,8 +612,8 @@ func (r *Router) noteBatchError(ctx context.Context, idx int, err error) {
 	}
 }
 
-// maxBody mirrors serve's request body cap for the control endpoints; select
-// bodies go through serve.ReadRequestBody and share the serving tier's cap.
+// maxBody caps the control endpoints' bodies; select and batch bodies go
+// through serve.ReadRequestBody and share the serving tier's cap.
 const maxBody = 1 << 20
 
 func (r *Router) handleClusterGet(w http.ResponseWriter, _ *http.Request) {

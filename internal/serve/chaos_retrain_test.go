@@ -21,9 +21,9 @@ import (
 // TestChaosRetrain layers the closed loop over the chaos harness: regret
 // sampling, drift scoring and shadow retraining run while the reload storm,
 // latency spikes, injected 503s and client cancellations are live. On top of
-// the base chaos invariants (statuses, per-generation consistency, degrade
-// reasons, budget conservation, the injector firing) it audits the retrain
-// path:
+// the base chaos invariants (only 200s and the injected 503s, no degraded
+// answer, per-generation consistency, the injector firing) it audits the
+// retrain path:
 //
 //   - the first gated candidate per device is deliberately terrible (a static
 //     worst-config selector) and must be rejected — and a rejected candidate's
@@ -114,8 +114,6 @@ func chaosRetrainRun(t *testing.T, seed uint64) {
 	}
 
 	srv, err := NewMulti(backends, Options{
-		MaxInFlight:      8,
-		FallbackShapes:   reloadShapes,
 		TrainShapes:      reloadShapes,
 		RegretSample:     0.5,
 		RegretUniverse:   universe,
@@ -262,19 +260,25 @@ func chaosRetrainRun(t *testing.T, seed uint64) {
 	// Audit every outcome against the registered generations — a rejected or
 	// errored candidate was never registered, so one of its decisions would
 	// surface here as an unknown generation.
-	var total, degradedN, abortedN int
+	var total, injected int
 	for g := range outcomes {
 		for _, o := range outcomes[g] {
 			total++
 			switch o.status {
 			case http.StatusOK:
-			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-				abortedN++
+			case http.StatusServiceUnavailable:
+				injected++
 				continue
 			default:
 				t.Fatalf("unexplained status %d", o.status)
 			}
+			if len(o.results) == 0 {
+				t.Fatalf("%s: a 200 carried no decision", o.device)
+			}
 			for _, d := range o.results {
+				if d.Degraded || d.DegradedReason != "" {
+					t.Fatalf("%s: degraded answer %+v; selectd always answers with its selector", o.device, d)
+				}
 				lib, ok := libsByGen[o.device][d.Generation]
 				if !ok {
 					t.Fatalf("%s: response from unknown generation %d — a gated candidate served", o.device, d.Generation)
@@ -283,20 +287,13 @@ func chaosRetrainRun(t *testing.T, seed uint64) {
 					t.Fatalf("%s gen %d: config %q / index %d inconsistent with its library",
 						o.device, d.Generation, d.Config, d.Index)
 				}
-				if !d.Degraded {
-					var sh gemm.Shape
-					if _, err := fmt.Sscanf(d.Shape, "%dx%dx%d", &sh.M, &sh.K, &sh.N); err != nil {
-						t.Fatalf("%s: unparseable shape %q", o.device, d.Shape)
-					}
-					if want := lib.ChooseIndex(sh); d.Index != want {
-						t.Fatalf("%s gen %d shape %s: served index %d, selector says %d",
-							o.device, d.Generation, d.Shape, d.Index, want)
-					}
-				} else {
-					degradedN++
-					if d.DegradedReason == "" {
-						t.Fatalf("degraded decision with no reason: %+v", d)
-					}
+				var sh gemm.Shape
+				if _, err := fmt.Sscanf(d.Shape, "%dx%dx%d", &sh.M, &sh.K, &sh.N); err != nil {
+					t.Fatalf("%s: unparseable shape %q", o.device, d.Shape)
+				}
+				if want := lib.ChooseIndex(sh); d.Index != want {
+					t.Fatalf("%s gen %d shape %s: served index %d, selector says %d",
+						o.device, d.Generation, d.Shape, d.Index, want)
 				}
 			}
 		}
@@ -335,23 +332,12 @@ func chaosRetrainRun(t *testing.T, seed uint64) {
 		waitSettled(t, be)
 	}
 
-	// Budgets conserved once traffic quiesces.
-	deadline = time.Now().Add(2 * time.Second)
-	for _, be := range srv.backends {
-		for (be.budgetFree() != be.budgetCap || be.inflight.Load() != 0) && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if free := be.budgetFree(); free != be.budgetCap {
-			t.Errorf("%s: budget free %d, cap %d — token leaked", be.name, free, be.budgetCap)
-		}
-		if inflight := be.inflight.Load(); inflight != 0 {
-			t.Errorf("%s: inflight gauge %d after quiesce", be.name, inflight)
-		}
-	}
-
 	st := inj.Stats()
-	t.Logf("seed %d: %d requests (%d shed/aborted, %d degraded); %d spikes, %d errors, %d cancels, %d retrain fails; events %d",
-		seed, total, abortedN, degradedN, st.Spikes, st.Errors, st.Cancels, st.RetrainFails, len(srv.RetrainEvents()))
+	t.Logf("seed %d: %d requests; %d spikes, %d errors, %d cancels, %d retrain fails; events %d",
+		seed, total, st.Spikes, st.Errors, st.Cancels, st.RetrainFails, len(srv.RetrainEvents()))
+	if uint64(injected) != st.Errors {
+		t.Errorf("%d requests answered 503, the injector failed %d", injected, st.Errors)
+	}
 	if st.Spikes+st.Errors+st.Cancels == 0 {
 		t.Error("injector fired no faults — chaos run exercised nothing")
 	}

@@ -49,7 +49,6 @@ func TestClosedLoopRetrainReducesRegret(t *testing.T) {
 
 	retrains := 0
 	opts := Options{
-		FallbackShapes:   reloadShapes,
 		TrainShapes:      reloadShapes,
 		RegretSample:     1,
 		RegretUniverse:   universe,
@@ -160,7 +159,6 @@ func TestRetrainRejectedCandidateNeverServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := New(incumbent, model, Options{
-		FallbackShapes:   reloadShapes,
 		TrainShapes:      reloadShapes,
 		RegretUniverse:   universe,
 		WindowSize:       512,

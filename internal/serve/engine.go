@@ -6,10 +6,11 @@ import (
 
 // Engine is the transport-agnostic face of the decision engine: everything a
 // caller needs to ask "which kernel configuration for this GEMM shape on this
-// device?" without going through HTTP. *Server implements it; the cluster
-// router consumes it for its router-local degraded fallback (answering
-// priceable shapes when every replica is down), and embedded callers can ask
-// in-process with no listener at all.
+// device?" without going through HTTP. *Server implements it, answering with
+// the selector's choice exactly as the HTTP surface does. The cluster router
+// consumes it when every replica of a shape is down: it serves that same
+// choice, stamped degraded with reason "replica_down". Embedded callers can
+// ask in-process with no listener at all.
 type Engine interface {
 	// Decide answers one shape on one device backend (empty device selects
 	// the default). It fails only for an unknown device or an invalid shape.

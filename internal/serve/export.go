@@ -2,9 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
+
+	"kernelselect/internal/gemm"
 )
 
 // This file is the package's wire toolkit as seen by other tiers. The cluster
@@ -13,7 +18,10 @@ import (
 // scan the canonical request form without reflection, and append-encode
 // responses byte-identically to encoding/json. Exporting thin wrappers keeps
 // one copy of the format knowledge — if the Decision encoding changes, the
-// router's pre-rendered cache bodies change with it.
+// router's pre-rendered cache bodies change with it. The same goes for what
+// a valid request is: ParseSelect and ParseBatch are the one definition, and
+// both tiers parse with them before resolving the device, so a body is
+// refused (or served) alike by a router and by a bare replica.
 
 // ReadRequestBody reads r's body into buf (caller-pooled scratch), growing it
 // only when the body outsizes the buffer. Semantics are identical to the
@@ -24,13 +32,71 @@ func ReadRequestBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte
 }
 
 // ParseSelectWire scans the canonical {"m":..,"k":..,"n":..,"device":".."}
-// select request without allocating. ok=false means the body is something the
-// fast scanner does not fully trust (escapes, floats, unknown fields, nested
-// values) and the caller should fall back to a full decoder. device aliases
-// body and must be consumed before the buffer is reused.
+// select request without allocating — the fast scan ParseSelect tries first.
+// ok=false means the body is something the scanner does not fully trust
+// (escapes, floats, unknown fields, nested values). device aliases body and
+// must be consumed before the buffer is reused.
 func ParseSelectWire(body []byte) (m, k, n int, device []byte, ok bool) {
 	p, ok := parseSelectBody(body)
 	return p.m, p.k, p.n, p.device, ok
+}
+
+// ParseSelect parses a POST /v1/select body: the allocation-free scan of the
+// canonical form, else the strict decoder (unknown fields, trailing data and
+// type mismatches are errors), then shape validation. The device is returned
+// unresolved; it aliases body on the fast path and must be consumed before
+// the buffer is reused. A well-formed canonical body allocates nothing.
+func ParseSelect(body []byte) (shape gemm.Shape, device []byte, err error) {
+	if p, ok := parseSelectBody(body); ok {
+		shape, device = gemm.Shape{M: p.m, K: p.k, N: p.n}, p.device
+	} else {
+		var req shapeRequest
+		if err := decodeStrict(body, &req); err != nil {
+			return gemm.Shape{}, nil, err
+		}
+		shape, device = gemm.Shape{M: req.M, K: req.K, N: req.N}, []byte(req.Device)
+	}
+	if err := shape.Validate(); err != nil {
+		return gemm.Shape{}, nil, err
+	}
+	return shape, device, nil
+}
+
+// ParseBatch parses a POST /v1/select/batch body: the strict decoder, then
+// the batch size (1 to MaxBatch shapes), then every shape. The device is
+// returned unresolved.
+func ParseBatch(body []byte) (device string, shapes []gemm.Shape, err error) {
+	var req batchRequest
+	if err := decodeStrict(body, &req); err != nil {
+		return "", nil, err
+	}
+	switch n := len(req.Shapes); {
+	case n == 0:
+		return "", nil, errors.New("batch has no shapes")
+	case n > MaxBatch:
+		return "", nil, fmt.Errorf("batch of %d shapes exceeds limit %d", n, MaxBatch)
+	}
+	shapes = make([]gemm.Shape, len(req.Shapes))
+	for i, sr := range req.Shapes {
+		shapes[i] = gemm.Shape{M: sr.M, K: sr.K, N: sr.N}
+		if err := shapes[i].Validate(); err != nil {
+			return "", nil, fmt.Errorf("shape %d: %v", i, err)
+		}
+	}
+	return req.Device, shapes, nil
+}
+
+// RequestError maps a ReadRequestBody, ParseSelect or ParseBatch error to the
+// status and newline-terminated JSON error body selectd answers it with: 413
+// when the body blew the size cap, 400 for everything else.
+func RequestError(err error) (status int, body []byte) {
+	status, msg := http.StatusBadRequest, err.Error()
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status, msg = http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)
+	}
+	body, _ = json.Marshal(errorResponse{Error: msg})
+	return status, append(body, '\n')
 }
 
 // AppendDecisionJSON append-encodes one Decision exactly as encoding/json

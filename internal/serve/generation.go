@@ -4,39 +4,36 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
-	"sync/atomic"
 
 	"kernelselect/internal/core"
 	"kernelselect/internal/gemm"
 	"kernelselect/internal/sim"
+	"kernelselect/internal/workload"
 )
 
+// datasetShapes is the paper's dataset shape set: every compiled selector is
+// verified against its interpreted form on it before serving, and it is the
+// default reference mix drift is scored against (Options.TrainShapes).
+var datasetShapes, _ = workload.DatasetShapes()
+
 // generation is one immutable epoch of a backend's serving state: the
-// library, its chooser and rendered strings, and the precomputed fallback
-// decision served under degradation. Reload builds a fresh generation and
-// swaps the backend's atomic pointer; requests that loaded the old pointer
-// keep serving against it until they finish, so a response's config always
-// belongs to the generation stamped on it.
+// library, its chooser and rendered strings. Reload builds a fresh generation
+// and swaps the backend's atomic pointer; requests that loaded the old
+// pointer keep serving against it until they finish, so a response's config
+// always belongs to the generation stamped on it.
 type generation struct {
 	id     uint64
 	device string
 	lib    *core.Library
 	model  *sim.Model
 
-	// fb holds the degraded-mode fallback template (Shape/DegradedReason
-	// filled per request). It is a pointer swapped atomically because the
-	// maintenance pass relearns the fallback config online from the served
-	// shape window (retrain.go) while degraded requests read it.
-	fb atomic.Pointer[Decision]
-
 	// choose maps a shape to the library's configuration index. When the
 	// library's selector compiles (core.CompiledChooser) and the compiled
-	// form is verified identical to the interpreted one over the fallback
-	// shape set, choose is the allocation-free compiled chooser and compiled
-	// is true; otherwise it is lib.ChooseIndex. Either way it returns the
-	// exact same index — compilation is a speedup, never a behaviour change.
+	// form is verified identical to the interpreted one over datasetShapes,
+	// choose is the allocation-free compiled chooser and compiled is true;
+	// otherwise it is lib.ChooseIndex. Either way it returns the exact same
+	// index — compilation is a speedup, never a behaviour change.
 	choose   func(gemm.Shape) int
 	compiled bool
 
@@ -61,16 +58,12 @@ type generation struct {
 	infoLine    string
 }
 
-// newGeneration allocates the next epoch for a device. The fallback decision,
-// compiled chooser, config strings and /v1/configs body are computed here —
-// once per reload, never per request — so the hot path does no per-request
-// setup work.
+// newGeneration allocates the next epoch for a device. The compiled chooser,
+// config strings and /v1/configs body are computed here — once per reload,
+// never per request — so the hot path does no per-request setup work.
 func (s *Server) newGeneration(device string, lib *core.Library, model *sim.Model) *generation {
-	id := s.genCounter.Add(1)
-	fb := fallbackDecision(device, lib, model, s.fallbackShapes)
-	fb.Generation = id
 	g := &generation{
-		id:        id,
+		id:        s.genCounter.Add(1),
 		device:    device,
 		lib:       lib,
 		model:     model,
@@ -80,16 +73,15 @@ func (s *Server) newGeneration(device string, lib *core.Library, model *sim.Mode
 	for i, c := range lib.Configs {
 		g.configs[i], g.kernelIDs[i] = c.String(), c.KernelID()
 	}
-	g.fb.Store(&fb)
 	if len(s.regretUniverse) > 0 {
 		g.universe = model.Batch(s.regretUniverse)
 		n := len(s.regretUniverse)
 		g.uniPool.New = func() any { r := make([]float64, n); return &r }
 	}
 	if lib.Unified() {
-		g.choose, g.compiled = compileUnifiedChooser(lib, model, s.fallbackShapes)
+		g.choose, g.compiled = compileUnifiedChooser(lib, model, datasetShapes)
 	} else {
-		g.choose, g.compiled = compileChooser(lib, s.fallbackShapes)
+		g.choose, g.compiled = compileChooser(lib, datasetShapes)
 	}
 	g.configsJSON = renderConfigs(g)
 	g.infoLine = fmt.Sprintf("selectd_info{selector=%q,device=%q} 1\n", lib.SelectorName(), device)
@@ -159,52 +151,6 @@ func renderConfigs(g *generation) []byte {
 	return append(b, '\n')
 }
 
-// fallbackDecision precomputes the answer served under degradation: the
-// library configuration with the best geometric-mean modelled GFLOPS across
-// the fallback shape set (the paper's dataset by default). The geomean is
-// the same aggregate the offline pipeline ranks configurations by, so the
-// fallback is the single config you would ship if the library could hold
-// only one.
-func fallbackDecision(device string, lib *core.Library, model *sim.Model, shapes []gemm.Shape) Decision {
-	idx := bestGeomeanIndex(model, lib.Configs, shapes)
-	cfg := lib.Configs[idx]
-	return Decision{
-		Device:   device,
-		Config:   cfg.String(),
-		Index:    idx,
-		KernelID: cfg.KernelID(),
-		Degraded: true,
-	}
-}
-
-// bestGeomeanIndex returns the index of the configuration with the highest
-// geometric-mean GFLOPS over shapes; ties resolve to the lowest index so the
-// result is deterministic.
-func bestGeomeanIndex(model *sim.Model, cfgs []gemm.Config, shapes []gemm.Shape) int {
-	if len(shapes) == 0 {
-		return 0
-	}
-	// One batch pass per shape accumulates every configuration's log sum in
-	// shape order — the same per-config addition sequence as the per-config
-	// loop this replaces, so the winner is unchanged.
-	bp := model.Batch(cfgs)
-	sums := make([]float64, len(cfgs))
-	var row []sim.Breakdown
-	for _, s := range shapes {
-		row = bp.PriceInto(row[:0], s)
-		for i := range sums {
-			sums[i] += math.Log(row[i].GFLOPS)
-		}
-	}
-	best, bestScore := 0, math.Inf(-1)
-	for i, sum := range sums {
-		if score := sum / float64(len(shapes)); score > bestScore {
-			best, bestScore = i, score
-		}
-	}
-	return best
-}
-
 // ReloadSource produces a fresh library (and optionally a fresh model; nil
 // keeps the current one) for a device. selectd installs one that re-reads
 // the -library artifact path, or retrains in-process, so POST /v1/reload and
@@ -219,10 +165,9 @@ func (s *Server) SetReloadSource(f ReloadSource) { s.reloadSource = f }
 // Reload atomically swaps the named backend (empty = default) onto a new
 // library, and optionally a new device model (nil keeps the current one).
 // In-flight requests finish against the generation they loaded; every
-// request admitted after Reload returns sees the new library and a freshly
-// computed fallback config. The backend's budget and latency EWMA survive the
-// swap: they describe the device, not the artifact.
-// Returns the new generation id.
+// request that starts after Reload returns sees the new library. The
+// backend's closed-loop state survives the swap: it describes the device's
+// traffic, not the artifact. Returns the new generation id.
 func (s *Server) Reload(device string, lib *core.Library, model *sim.Model) (uint64, error) {
 	be, err := s.backend(device)
 	if err != nil {
@@ -257,14 +202,5 @@ func (s *Server) Reload(device string, lib *core.Library, model *sim.Model) (uin
 	}
 	gen := s.newGeneration(be.name, lib, model)
 	be.gen.Store(gen)
-	// A fresh generation's fallback starts from the static shape set; when
-	// the window has already observed enough live traffic, relearn it from
-	// the observed distribution immediately rather than waiting a
-	// maintenance tick.
-	if be.window != nil {
-		if win := be.window.snapshot(); len(win) >= minFallbackWindow {
-			s.learnFallback(be, gen, win)
-		}
-	}
 	return gen.id, nil
 }

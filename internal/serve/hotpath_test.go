@@ -88,9 +88,8 @@ func TestSelectAllocations(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"baseline", Options{FallbackShapes: reloadShapes}},
+		{"baseline", Options{}},
 		{"closed-loop-sampled", Options{
-			FallbackShapes: reloadShapes,
 			RegretSample:   1,
 			RegretUniverse: gemm.AllConfigs()[:120],
 			WindowSize:     4096,
@@ -168,7 +167,7 @@ func TestCompiledGenerationMatchesLibrary(t *testing.T) {
 		ds := dataset.Build(model, shapes, gemm.AllConfigs()[:120])
 		libA := core.BuildLibrary(ds, core.DecisionTree{}, core.DecisionTreeSelector{}, 6, 42)
 		libB := core.BuildLibrary(ds, core.DecisionTree{}, core.DecisionTreeSelector{}, 4, 43)
-		srv := New(libA, model, Options{FallbackShapes: shapes})
+		srv := New(libA, model, Options{})
 
 		check := func(lib *core.Library) {
 			t.Helper()
@@ -196,7 +195,7 @@ func TestCompiledGenerationMatchesLibrary(t *testing.T) {
 // checks the responses agree with the stdlib-decoded form.
 func TestFastParseHandlerParity(t *testing.T) {
 	model := sim.New(device.R9Nano())
-	srv := New(buildLib(t, model, 6), model, Options{FallbackShapes: reloadShapes})
+	srv := New(buildLib(t, model, 6), model, Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -256,7 +255,7 @@ func TestFastParseHandlerParity(t *testing.T) {
 
 func BenchmarkSelectHot(b *testing.B) {
 	model := sim.New(device.R9Nano())
-	srv := New(buildLib(b, model, 6), model, Options{FallbackShapes: reloadShapes})
+	srv := New(buildLib(b, model, 6), model, Options{})
 	sr := newSelectRunner(srv, []byte(`{"m":784,"k":1152,"n":256}`))
 	sr.run()
 	if sr.w.code != http.StatusOK {
@@ -271,7 +270,7 @@ func BenchmarkSelectHot(b *testing.B) {
 
 func BenchmarkSelectHotParallel(b *testing.B) {
 	model := sim.New(device.R9Nano())
-	srv := New(buildLib(b, model, 6), model, Options{FallbackShapes: reloadShapes})
+	srv := New(buildLib(b, model, 6), model, Options{})
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		sr := newSelectRunner(srv, []byte(`{"m":784,"k":1152,"n":256}`))
@@ -303,7 +302,7 @@ func BenchmarkChoose(b *testing.B) {
 		{"radial-svm", core.RadialSVMSelector{}},
 	} {
 		lib := core.BuildLibrary(ds, core.DecisionTree{}, sel.trainer, 8, 42)
-		srv := New(lib, model, Options{FallbackShapes: shapes})
+		srv := New(lib, model, Options{})
 		gen := srv.backends[0].gen.Load()
 		kind := "interpreted"
 		if gen.compiled {

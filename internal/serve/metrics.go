@@ -12,8 +12,8 @@ import (
 
 // metrics is a dependency-free registry in the Prometheus text exposition
 // format: per-endpoint request counters broken down by status code,
-// per-endpoint latency histograms, and per-device budget, shed and
-// degradation series. Everything is atomics on the hot path; rendering takes
+// per-endpoint latency histograms, and per-device generation, decision and
+// closed-loop series. Everything is atomics on the hot path; rendering takes
 // the slow path.
 
 // latencyBuckets are the histogram upper bounds in seconds. Selection is
@@ -128,18 +128,10 @@ func newEndpointMetrics() *endpointMetrics {
 }
 
 func (e *endpointMetrics) observe(code int, d time.Duration) {
-	e.observeCode(code)
-	e.latency.observe(d)
-}
-
-// observeCode counts a response without a latency observation. Shed (429)
-// and degraded responses use it: they do little or no work, so recording
-// their ~0s durations would pull the histogram's quantiles toward zero
-// exactly when the server is saturated and real latencies matter most.
-func (e *endpointMetrics) observeCode(code int) {
 	e.mu.Lock()
 	e.byCode[code]++
 	e.mu.Unlock()
+	e.latency.observe(d)
 }
 
 // metrics is the server-wide registry of endpoint series; per-device series
@@ -166,19 +158,12 @@ func (m *metrics) endpoint(name string) *endpointMetrics {
 }
 
 // backendStats is one device backend's snapshot for rendering: its selector
-// name, library generation, admission budget state, shed/degradation
-// counters and latency EWMA.
+// name, library generation and closed-loop series.
 type backendStats struct {
-	device      string
-	infoLine    string // pre-rendered selectd_info line, built per generation
-	generation  uint64
-	compiled    bool
-	inflight    int64
-	budgetFree  int
-	budgetCap   int
-	shed        uint64
-	degraded    uint64
-	ewmaSeconds float64
+	device     string
+	infoLine   string // pre-rendered selectd_info line, built per generation
+	generation uint64
+	compiled   bool
 
 	// Closed-loop series (regret.go, retrain.go).
 	decisions       uint64
@@ -186,13 +171,11 @@ type backendStats struct {
 	unsampled       uint64
 	regretDropped   uint64
 	regret          histSnapshot
-	regretDegraded  histSnapshot
 	driftScore      float64
 	windowSize      int
 	retrainPromoted uint64
 	retrainRejected uint64
 	retrainErrors   uint64
-	fallbackUpdates uint64
 }
 
 // render writes the registry in Prometheus text format, with one info line
@@ -254,29 +237,6 @@ func (m *metrics) render(b *strings.Builder, backends []backendStats) {
 		fmt.Fprintf(b, "selectd_generation{device=%q} %d\n", be.device, be.generation)
 	}
 
-	b.WriteString("# HELP selectd_inflight_requests Batches currently being served, by device.\n")
-	b.WriteString("# TYPE selectd_inflight_requests gauge\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_inflight_requests{device=%q} %d\n", be.device, be.inflight)
-	}
-
-	b.WriteString("# HELP selectd_budget_tokens Admission tokens currently free, by device.\n")
-	b.WriteString("# TYPE selectd_budget_tokens gauge\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_budget_tokens{device=%q} %d\n", be.device, be.budgetFree)
-	}
-	b.WriteString("# HELP selectd_budget_capacity Admission budget size, by device.\n")
-	b.WriteString("# TYPE selectd_budget_capacity gauge\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_budget_capacity{device=%q} %d\n", be.device, be.budgetCap)
-	}
-
-	b.WriteString("# HELP selectd_shed_total Batches rejected 429 at the latency shed threshold, by device.\n")
-	b.WriteString("# TYPE selectd_shed_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_shed_total{device=%q} %d\n", be.device, be.shed)
-	}
-
 	b.WriteString("# HELP selectd_compiled_selector Whether the serving generation uses a compiled selector (1) or the interpreted model (0), by device.\n")
 	b.WriteString("# TYPE selectd_compiled_selector gauge\n")
 	for _, be := range backends {
@@ -287,19 +247,7 @@ func (m *metrics) render(b *strings.Builder, backends []backendStats) {
 		fmt.Fprintf(b, "selectd_compiled_selector{device=%q} %d\n", be.device, v)
 	}
 
-	b.WriteString("# HELP selectd_degraded_total Decisions answered with the fallback config, by device and reason.\n")
-	b.WriteString("# TYPE selectd_degraded_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_degraded_total{device=%q,reason=%q} %d\n", be.device, reasonBudget, be.degraded)
-	}
-
-	b.WriteString("# HELP selectd_latency_ewma_seconds Full-service batch latency EWMA, by device.\n")
-	b.WriteString("# TYPE selectd_latency_ewma_seconds gauge\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_latency_ewma_seconds{device=%q} %.9f\n", be.device, be.ewmaSeconds)
-	}
-
-	b.WriteString("# HELP selectd_decisions_total Decisions served (full-quality and degraded), by device.\n")
+	b.WriteString("# HELP selectd_decisions_total Decisions served, by device.\n")
 	b.WriteString("# TYPE selectd_decisions_total counter\n")
 	for _, be := range backends {
 		fmt.Fprintf(b, "selectd_decisions_total{device=%q} %d\n", be.device, be.decisions)
@@ -324,11 +272,6 @@ func (m *metrics) render(b *strings.Builder, backends []backendStats) {
 	b.WriteString("# TYPE selectd_regret histogram\n")
 	for _, be := range backends {
 		renderValueHist(b, "selectd_regret", be.device, regretBuckets, be.regret)
-	}
-	b.WriteString("# HELP selectd_regret_degraded Sampled regret of degraded (fallback-config) decisions, by device.\n")
-	b.WriteString("# TYPE selectd_regret_degraded histogram\n")
-	for _, be := range backends {
-		renderValueHist(b, "selectd_regret_degraded", be.device, regretBuckets, be.regretDegraded)
 	}
 
 	b.WriteString("# HELP selectd_drift_score Population-stability drift of the live shape mix vs the training mix, by device.\n")
@@ -356,10 +299,5 @@ func (m *metrics) render(b *strings.Builder, backends []backendStats) {
 	b.WriteString("# TYPE selectd_retrain_errors_total counter\n")
 	for _, be := range backends {
 		fmt.Fprintf(b, "selectd_retrain_errors_total{device=%q} %d\n", be.device, be.retrainErrors)
-	}
-	b.WriteString("# HELP selectd_fallback_updates_total Online fallback-config changes learned from the served shape window, by device.\n")
-	b.WriteString("# TYPE selectd_fallback_updates_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_fallback_updates_total{device=%q} %d\n", be.device, be.fallbackUpdates)
 	}
 }

@@ -22,9 +22,8 @@ import (
 // Measurement happens strictly off the request path: the request goroutine
 // only enqueues a fixed-size sample onto a bounded channel of regretQueue
 // slots (dropping, counted, when full — never blocking), and a single worker
-// prices the universe via the generation's vectorized batch pricer,
-// bypassing admission budgets and the latency EWMA — the measurement
-// describes decision quality, not client service.
+// prices the universe via the generation's vectorized batch pricer — the
+// measurement describes decision quality, not client service.
 
 // regretQueue bounds the background measurement queue.
 const regretQueue = 1024
@@ -33,26 +32,26 @@ const regretQueue = 1024
 // generation that produced the decision so the measurement prices the config
 // actually served even if a reload lands before the worker gets to it.
 type regretSample struct {
-	be       *backend
-	gen      *generation
-	shape    gemm.Shape
-	cfg      gemm.Config
-	degraded bool
+	be    *backend
+	gen   *generation
+	shape gemm.Shape
+	cfg   gemm.Config
 }
 
-// account records one served decision into the closed-loop state: the
-// per-backend decision counters, the served-shape window, and — for every
-// regretEvery-th decision — the regret measurement queue. It runs on the
-// request goroutine for every decision, so it must not allocate or block: the window append is a sharded ring store and a full
+// account records one served decision (configuration index idx) into the
+// closed-loop state: the per-backend decision counters, the served-shape
+// window, and — for every regretEvery-th decision — the regret measurement
+// queue. It runs on the request goroutine for every decision, so it must not
+// allocate or block: the window append is a sharded ring store and a full
 // queue drops the sample rather than waiting.
-func (s *Server) account(be *backend, gen *generation, shape gemm.Shape, d *Decision) {
+func (s *Server) account(be *backend, gen *generation, shape gemm.Shape, idx int) {
 	if be.window != nil {
 		be.window.add(shape)
 	}
 	n := be.decisions.Add(1)
 	if s.regretEvery > 0 && n%s.regretEvery == 0 {
 		be.sampled.Add(1)
-		smp := regretSample{be: be, gen: gen, shape: shape, cfg: gen.lib.Configs[d.Index], degraded: d.Degraded}
+		smp := regretSample{be: be, gen: gen, shape: shape, cfg: gen.lib.Configs[idx]}
 		select {
 		case s.regretQ <- smp:
 		default:
@@ -78,10 +77,9 @@ func (s *Server) regretWorker() {
 }
 
 // measureRegret prices the universe for one sampled decision and folds the
-// regret into the backend's histogram (the degraded-path histogram when the
-// decision was a fallback answer, so fallback cost is measurable on its own).
-// Pricing goes through the generation's model: regret compares against the
-// analytical optimum the offline pipeline uses.
+// regret into the backend's histogram. Pricing goes through the generation's
+// model: regret compares against the analytical optimum the offline pipeline
+// uses.
 func (s *Server) measureRegret(smp regretSample) float64 {
 	gen := smp.gen
 	rp := gen.uniPool.Get().(*[]float64)
@@ -107,11 +105,7 @@ func (s *Server) measureRegret(smp regretSample) float64 {
 			regret = 1
 		}
 	}
-	h := smp.be.regretHist
-	if smp.degraded {
-		h = smp.be.regretDegradedHist
-	}
-	h.observe(regret)
+	smp.be.regretHist.observe(regret)
 	return regret
 }
 
@@ -119,8 +113,7 @@ func (s *Server) measureRegret(smp regretSample) float64 {
 // measured or dropped — i.e. the background queue is drained. Tests poll it
 // after traffic quiesces instead of sleeping.
 func (be *backend) regretSettled() bool {
-	measured := be.regretHist.count.Load() + be.regretDegradedHist.count.Load()
-	return be.sampled.Load() == measured+be.regretDropped.Load()
+	return be.sampled.Load() == be.regretHist.count.Load()+be.regretDropped.Load()
 }
 
 // meanRegret reports the mean over a lib's choices on shapes, priced against

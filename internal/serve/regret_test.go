@@ -19,9 +19,7 @@ func waitSettled(t testing.TB, be *backend) {
 	for !be.regretSettled() {
 		if time.Now().After(deadline) {
 			t.Fatalf("regret queue never drained: sampled %d, measured %d, dropped %d",
-				be.sampled.Load(),
-				be.regretHist.count.Load()+be.regretDegradedHist.count.Load(),
-				be.regretDropped.Load())
+				be.sampled.Load(), be.regretHist.count.Load(), be.regretDropped.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -34,7 +32,6 @@ func waitSettled(t testing.TB, be *backend) {
 func TestRegretAccountingInvariants(t *testing.T) {
 	model := sim.New(device.R9Nano())
 	srv := New(buildLib(t, model, 6), model, Options{
-		FallbackShapes: reloadShapes,
 		RegretSample:   0.25,
 		RegretUniverse: gemm.AllConfigs()[:120],
 	})
@@ -58,7 +55,7 @@ func TestRegretAccountingInvariants(t *testing.T) {
 		t.Fatalf("sampled %d of %d decisions at rate 0.25, want exactly %d", s, n, n/4)
 	}
 	waitSettled(t, be)
-	if measured := be.regretHist.count.Load() + be.regretDegradedHist.count.Load(); measured+be.regretDropped.Load() != s {
+	if measured := be.regretHist.count.Load(); measured+be.regretDropped.Load() != s {
 		t.Fatalf("measured %d + dropped %d != sampled %d", measured, be.regretDropped.Load(), s)
 	}
 	if got := be.window.size(); got != n {
@@ -74,7 +71,6 @@ func TestRegretNonNegativeAndZeroAtOptimum(t *testing.T) {
 	model := sim.New(device.R9Nano())
 	universe := gemm.AllConfigs()[:120]
 	srv := New(buildLib(t, model, 6), model, Options{
-		FallbackShapes: reloadShapes,
 		RegretSample:   1,
 		RegretUniverse: universe,
 	})
@@ -177,58 +173,6 @@ func TestWindowSlidesAndBounds(t *testing.T) {
 	}
 }
 
-// The maintenance pass relearns the degraded-mode fallback from the observed
-// distribution: a window dominated by one shape swaps the generation's
-// fallback template to that shape's best weighted-geomean config, atomically
-// and with the update counted.
-func TestFallbackLearnsObservedDistribution(t *testing.T) {
-	model := sim.New(device.R9Nano())
-	lib := buildLib(t, model, 6)
-	srv := New(lib, model, Options{FallbackShapes: reloadShapes, WindowSize: 128})
-	defer srv.Close()
-	be := srv.backends[0]
-	gen := be.gen.Load()
-	orig := *gen.fb.Load()
-
-	// Find a shape whose solo best differs from the static geomean choice, so
-	// the relearn is observable.
-	var target gemm.Shape
-	found := false
-	for _, sh := range reloadShapes {
-		if weightedBestGeomeanIndex(model, lib.Configs, []gemm.Shape{sh}, []float64{1}) != orig.Index {
-			target, found = sh, true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("every per-shape best equals the static fallback — test library degenerate")
-	}
-	for i := 0; i < 2*minFallbackWindow; i++ {
-		be.window.add(target)
-	}
-	srv.Maintain()
-
-	fb := *gen.fb.Load()
-	want := weightedBestGeomeanIndex(model, lib.Configs, []gemm.Shape{target}, []float64{1})
-	if fb.Index != want {
-		t.Fatalf("learned fallback index %d, want %d (best for the observed mix)", fb.Index, want)
-	}
-	if fb.Config != lib.Configs[want].String() || !fb.Degraded || fb.Generation != gen.id {
-		t.Fatalf("learned fallback template inconsistent: %+v", fb)
-	}
-	if got := be.fallbackUpdates.Load(); got != 1 {
-		t.Fatalf("fallback updates %d, want 1", got)
-	}
-	// A second pass over the unchanged window is a no-op, not a churn.
-	srv.Maintain()
-	if got := be.fallbackUpdates.Load(); got != 1 {
-		t.Fatalf("unchanged window re-counted a fallback update: %d", got)
-	}
-	if score := be.driftScore(); score <= 0 {
-		t.Fatalf("single-shape window scored drift %v, want > 0", score)
-	}
-}
-
 // Every closed-loop series is present on the metrics page with device labels,
 // and the exported decision counters obey sampled + unsampled == decisions.
 func TestClosedLoopMetricsSeries(t *testing.T) {
@@ -246,6 +190,7 @@ func TestClosedLoopMetricsSeries(t *testing.T) {
 
 	page := metricsPage(t, ts)
 	for _, metric := range []string{
+		`selectd_generation{device="amd-r9-nano"}`,
 		`selectd_decisions_total{device="amd-r9-nano"}`,
 		`selectd_decisions_sampled_total{device="amd-r9-nano"}`,
 		`selectd_decisions_unsampled_total{device="amd-r9-nano"}`,
@@ -254,13 +199,11 @@ func TestClosedLoopMetricsSeries(t *testing.T) {
 		`selectd_regret_bucket{device="amd-r9-nano",le="+Inf"}`,
 		`selectd_regret_sum{device="amd-r9-nano"}`,
 		`selectd_regret_count{device="amd-r9-nano"}`,
-		`selectd_regret_degraded_count{device="amd-r9-nano"}`,
 		`selectd_drift_score{device="amd-r9-nano"}`,
 		`selectd_window_size{device="amd-r9-nano"}`,
 		`selectd_retrain_promoted_total{device="amd-r9-nano"}`,
 		`selectd_retrain_rejected_total{device="amd-r9-nano"}`,
 		`selectd_retrain_errors_total{device="amd-r9-nano"}`,
-		`selectd_fallback_updates_total{device="amd-r9-nano"}`,
 	} {
 		metricValue(t, page, metric) // fails the test if the series is absent
 	}

@@ -38,7 +38,7 @@ func TestReloadSwapsLibrary(t *testing.T) {
 	model := sim.New(device.R9Nano())
 	libA := buildLib(t, model, 6)
 	libB := buildLib(t, model, 4)
-	srv := New(libA, model, Options{FallbackShapes: reloadShapes})
+	srv := New(libA, model, Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -97,7 +97,7 @@ func TestReloadSwapsLibrary(t *testing.T) {
 
 func TestReloadValidation(t *testing.T) {
 	model := sim.New(device.R9Nano())
-	srv := New(buildLib(t, model, 4), model, Options{FallbackShapes: reloadShapes})
+	srv := New(buildLib(t, model, 4), model, Options{})
 	if _, err := srv.Reload("", nil, nil); err == nil {
 		t.Error("nil library accepted")
 	}
@@ -112,7 +112,7 @@ func TestReloadEndpoint(t *testing.T) {
 	model := sim.New(device.R9Nano())
 	libA := buildLib(t, model, 6)
 	libB := buildLib(t, model, 4)
-	srv := New(libA, model, Options{FallbackShapes: reloadShapes})
+	srv := New(libA, model, Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -167,19 +167,48 @@ func TestReloadEndpoint(t *testing.T) {
 	resp.Body.Close()
 }
 
+// A reload and a maintenance pass price nothing: with regret sampling and
+// retraining off, a backend whose window holds shapes its model has never
+// priced reloads and runs Maintain without adding one pricing-memo entry.
+func TestReloadPricesNothing(t *testing.T) {
+	model := sim.New(device.R9Nano())
+	libA := buildLib(t, model, 6)
+	libB := buildLib(t, model, 4)
+	srv := New(libA, model, Options{})
+	defer srv.Close()
+	for i := 0; i < 4; i++ {
+		for _, sh := range shiftedShapes {
+			if _, err := srv.Decide("", sh); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	_, misses, entries := model.CacheStats()
+	if entries == 0 {
+		t.Fatal("the model keeps no pricing memo, so this test would check nothing")
+	}
+	if _, err := srv.Reload("", libB, nil); err != nil {
+		t.Fatal(err)
+	}
+	srv.Maintain()
+	if _, m, e := model.CacheStats(); m != misses || e != entries {
+		t.Fatalf("reload and maintain priced shapes: memo misses %d -> %d, entries %d -> %d", misses, m, entries, e)
+	}
+}
+
 // TestReloadUnderLoad is the acceptance check for atomic visibility: while
 // client goroutines hammer /v1/select, the main goroutine reloads between
 // two libraries of different sizes. Zero requests may drop, and every
 // response's config must belong to the library of the generation stamped on
 // it — a response mixing epochs (old index against new library, torn swap)
-// fails the audit. Budget tokens must be conserved. Run
-// under -race this doubles as the concurrent Reload-vs-decide race test.
+// fails the audit. Run under -race this doubles as the concurrent
+// Reload-vs-decide race test.
 func TestReloadUnderLoad(t *testing.T) {
 	model := sim.New(device.R9Nano())
 	libs := map[uint64]*core.Library{}
 	libA := buildLib(t, model, 6)
 	libB := buildLib(t, model, 4)
-	srv := New(libA, model, Options{FallbackShapes: reloadShapes, MaxInFlight: 16})
+	srv := New(libA, model, Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	gen0, _ := srv.Generation("")
@@ -270,15 +299,6 @@ func TestReloadUnderLoad(t *testing.T) {
 	if total != goroutines*perG {
 		t.Fatalf("%d responses for %d requests", total, goroutines*perG)
 	}
-
-	// Budget tokens conserved: nothing lost or double-released.
-	be := srv.backends[0]
-	if free := be.budgetFree(); free != be.budgetCap {
-		t.Fatalf("budget free %d, cap %d after quiesce", free, be.budgetCap)
-	}
-	if inflight := be.inflight.Load(); inflight != 0 {
-		t.Fatalf("inflight gauge %d after quiesce", inflight)
-	}
 }
 
 // Overlapping POST /v1/reload requests must coalesce into one flight: the
@@ -290,7 +310,7 @@ func TestReloadSingleFlight(t *testing.T) {
 	model := sim.New(device.R9Nano())
 	libA := buildLib(t, model, 6)
 	libB := buildLib(t, model, 4)
-	srv := New(libA, model, Options{FallbackShapes: reloadShapes})
+	srv := New(libA, model, Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

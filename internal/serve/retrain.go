@@ -13,14 +13,13 @@ import (
 
 // The maintenance pass is the decision half of the closed loop. It reads the
 // served-shape window and, per backend: (1) scores distribution drift against
-// the training-time reference mix, (2) relearns the degraded-mode fallback
-// config from the observed distribution, and (3) when drift crosses the
-// threshold and a RetrainFunc is installed, shadow-retrains the selector on
-// the blended window and promotes the candidate through the normal Reload
-// path — but only after two gates pass on a fixed holdout probe of the blend:
+// the training-time reference mix, and (2) when drift crosses the threshold
+// and a RetrainFunc is installed, shadow-retrains the selector on the blended
+// window and promotes the candidate through the normal Reload path — but only
+// after two gates pass on a fixed holdout probe of the blend:
 // compiled-vs-interpreted agreement, and mean regret no worse than the
 // incumbent's. A rejected candidate is counted and logged and never touches
-// live traffic.
+// live traffic. Neither step prices anything unless a retrain fires.
 
 // RetrainFunc trains a candidate library for one device over a shape mix.
 // It runs on the maintenance goroutine — never on a request path — so it may
@@ -72,7 +71,7 @@ func (be *backend) driftScore() float64 {
 }
 
 // Maintain runs one synchronous maintenance pass over every backend: drift
-// scoring, fallback relearning, and — when warranted — a shadow retrain
+// scoring and — when warranted — a shadow retrain
 // including its gates and promotion. Production drives it from the background
 // loop (Options.MaintainInterval); tests and operators may call it directly
 // for a deterministic step with no wall-clock dependence.
@@ -95,9 +94,6 @@ func (s *Server) maintain(be *backend) {
 	be.driftBits.Store(math.Float64bits(score))
 
 	gen := be.gen.Load()
-	if len(win) >= minFallbackWindow {
-		s.learnFallback(be, gen, win)
-	}
 	if s.opts.Retrain != nil && score > s.opts.DriftThreshold && len(win) >= s.opts.RetrainMinWindow {
 		// One retrain per backend at a time; overlapping maintenance passes
 		// skip rather than queue — the next pass re-evaluates fresh drift.
@@ -120,80 +116,6 @@ func (s *Server) maintainLoop(interval time.Duration) {
 			s.Maintain()
 		}
 	}
-}
-
-// minFallbackWindow is the observation floor below which the fallback config
-// stays as computed from the static shape set — a handful of requests is not
-// a distribution.
-const minFallbackWindow = 16
-
-// learnFallback recomputes the generation's degraded-mode fallback config as
-// the best weighted-geomean performer over the observed shape distribution,
-// replacing the static-shapes choice the generation started with. The swap is
-// a single atomic pointer store against the generation's fallback slot, so
-// in-flight degraded answers see either the old or the new template, never a
-// torn one.
-func (s *Server) learnFallback(be *backend, gen *generation, win []gemm.Shape) {
-	shapes, weights := distinctShapes(win)
-	if len(shapes) == 0 {
-		return
-	}
-	idx := weightedBestGeomeanIndex(gen.model, gen.lib.Configs, shapes, weights)
-	if idx == gen.fb.Load().Index {
-		return
-	}
-	cfg := gen.lib.Configs[idx]
-	d := Decision{
-		Device:     gen.device,
-		Config:     cfg.String(),
-		Index:      idx,
-		KernelID:   cfg.KernelID(),
-		Degraded:   true,
-		Generation: gen.id,
-	}
-	gen.fb.Store(&d)
-	be.fallbackUpdates.Add(1)
-}
-
-// distinctShapes collapses a window to its distinct shapes (first-seen order)
-// and their observation counts.
-func distinctShapes(win []gemm.Shape) ([]gemm.Shape, []float64) {
-	index := make(map[gemm.Shape]int, len(win))
-	shapes := make([]gemm.Shape, 0, len(win))
-	weights := make([]float64, 0, len(win))
-	for _, sh := range win {
-		if i, ok := index[sh]; ok {
-			weights[i]++
-			continue
-		}
-		index[sh] = len(shapes)
-		shapes = append(shapes, sh)
-		weights = append(weights, 1)
-	}
-	return shapes, weights
-}
-
-// weightedBestGeomeanIndex is bestGeomeanIndex with per-shape observation
-// weights: argmax over configs of Σ w·log(GFLOPS) — the geomean over the
-// window with repeats, without pricing a shape more than once. Ties resolve
-// to the lowest index.
-func weightedBestGeomeanIndex(model *sim.Model, cfgs []gemm.Config, shapes []gemm.Shape, weights []float64) int {
-	bp := model.Batch(cfgs)
-	sums := make([]float64, len(cfgs))
-	var row []sim.Breakdown
-	for j, sh := range shapes {
-		row = bp.PriceInto(row[:0], sh)
-		for i := range sums {
-			sums[i] += weights[j] * math.Log(row[i].GFLOPS)
-		}
-	}
-	best, bestScore := 0, math.Inf(-1)
-	for i, sum := range sums {
-		if sum > bestScore {
-			best, bestScore = i, sum
-		}
-	}
-	return best
 }
 
 // blendShapes unions the reference mix's support with the window's distinct
@@ -265,7 +187,7 @@ func (s *Server) runRetrain(be *backend, gen *generation, ref shapeMix, win []ge
 	}
 
 	// Gate 1: if the candidate's selector compiles, the compiled form must
-	// agree with the interpreted one on every holdout and fallback shape —
+	// agree with the interpreted one on every holdout and dataset shape —
 	// the same seatbelt every generation swap wears, checked before the swap
 	// instead of silently falling back after it.
 	if choose, ok := cand.CompiledChooser(); ok {
@@ -275,9 +197,9 @@ func (s *Server) runRetrain(be *backend, gen *generation, ref shapeMix, win []ge
 				return
 			}
 		}
-		for _, sh := range s.fallbackShapes {
+		for _, sh := range datasetShapes {
 			if choose(sh) != cand.ChooseIndex(sh) {
-				s.rejectRetrain(be, drift, cand, "compiled selector disagrees with interpreted on fallback shapes", 0, 0)
+				s.rejectRetrain(be, drift, cand, "compiled selector disagrees with interpreted on dataset shapes", 0, 0)
 				return
 			}
 		}

@@ -9,22 +9,17 @@
 // pure function of (generation, device, shape): the generation's compiled
 // selector picks a configuration index, and the answer's config and kernel-ID
 // strings were rendered once when the generation was built. Nothing on that
-// path can block or fail, so a select takes no admission token, no deadline
-// and no cache. Production concerns are handled in-process with no external
-// dependencies:
+// path can block or fail, so every answer — select, batch or Decide — is the
+// selector's choice: there is no admission token, shed threshold, deadline,
+// cache or degraded fallback. A batch is bounded by MaxBatch shapes and the
+// 8 MiB body cap. Production concerns are handled in-process with no
+// external dependencies:
 //
 //   - atomic hot reload: each backend's library and model form an immutable
 //     generation behind an atomic pointer, swappable via Reload or
 //     POST /v1/reload without dropping in-flight requests;
-//   - per-backend admission budgets for batches: each device gets its own
-//     token budget (default MaxInFlight split evenly) so a hot device cannot
-//     starve the others, plus an EWMA-latency shed threshold that rejects 429
-//     when a backend falls behind;
-//   - graceful degradation: a batch that finds its backend's budget exhausted
-//     is answered with the backend's precomputed fallback config
-//     ("degraded": true) instead of an error;
 //   - per-endpoint request counters and latency histograms plus per-device
-//     budget/shed/degradation series, exposed at GET /metrics in Prometheus
+//     decision and closed-loop series, exposed at GET /metrics in Prometheus
 //     text format;
 //   - a draining flag that fails GET /healthz ahead of graceful shutdown,
 //     letting a load balancer rotate the instance out while in-flight
@@ -51,41 +46,13 @@ import (
 	"kernelselect/internal/core"
 	"kernelselect/internal/gemm"
 	"kernelselect/internal/sim"
-	"kernelselect/internal/workload"
 )
 
 // MaxBatch is the most shapes one /v1/select/batch request may carry.
 const MaxBatch = 1024
 
-// CheckBatchSize reports why a batch of n shapes is refused (400): it is
-// empty or exceeds MaxBatch. selectd and the cluster router both apply it
-// before anything else looks at the shapes, so a batch is refused alike on
-// either tier.
-func CheckBatchSize(n int) error {
-	if n == 0 {
-		return errors.New("batch has no shapes")
-	}
-	if n > MaxBatch {
-		return fmt.Errorf("batch of %d shapes exceeds limit %d", n, MaxBatch)
-	}
-	return nil
-}
-
 // Options configure the server. The zero value selects the defaults.
 type Options struct {
-	MaxInFlight int            // total batch admission budget, split evenly across backends; default 256
-	Budgets     map[string]int // per-device budget overrides (device name → tokens)
-
-	// ShedLatency is the load-aware shed threshold: when a backend's
-	// full-service batch latency EWMA exceeds it, new batches for that
-	// backend are rejected 429 until the EWMA decays. 0 disables.
-	ShedLatency time.Duration
-
-	// FallbackShapes is the shape set the degraded-mode fallback config is
-	// scored over (best geometric-mean GFLOPS); default: the paper's
-	// dataset shapes.
-	FallbackShapes []gemm.Shape
-
 	// RegretSample is the fraction of served decisions stamped for
 	// background regret measurement against the config universe (regret.go).
 	// 0 disables sampling; 1 measures every decision. Sampling is
@@ -100,7 +67,7 @@ type Options struct {
 
 	// WindowSize bounds the served-shape sliding window the closed loop
 	// reasons over; default 4096, negative disables the window (and with it
-	// drift scoring, online fallback learning, and retraining).
+	// drift scoring and retraining).
 	WindowSize int
 
 	// DriftThreshold is the PSI drift score above which a shadow retrain
@@ -108,8 +75,8 @@ type Options struct {
 	DriftThreshold float64
 
 	// TrainShapes is the training-time shape mix the drift score compares
-	// the live window against (duplicates weight the mix); default
-	// FallbackShapes.
+	// the live window against (duplicates weight the mix); default: the
+	// paper's dataset shapes.
 	TrainShapes []gemm.Shape
 
 	// Retrain, when non-nil, enables shadow retraining: it is called on the
@@ -123,7 +90,7 @@ type Options struct {
 	RetrainMinWindow int
 
 	// MaintainInterval is the period of the background maintenance loop
-	// (drift scoring, fallback relearning, shadow retraining). 0 disables
+	// (drift scoring, shadow retraining). 0 disables
 	// the loop; callers may still drive Maintain directly.
 	MaintainInterval time.Duration
 
@@ -133,12 +100,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 256
-	}
-	if o.FallbackShapes == nil {
-		o.FallbackShapes, _ = workload.DatasetShapes()
-	}
 	if o.RegretSample < 0 {
 		o.RegretSample = 0
 	}
@@ -152,7 +113,7 @@ func (o Options) withDefaults() Options {
 		o.DriftThreshold = 0.25
 	}
 	if o.TrainShapes == nil {
-		o.TrainShapes = o.FallbackShapes
+		o.TrainShapes = datasetShapes
 	}
 	if o.RetrainMinWindow <= 0 {
 		o.RetrainMinWindow = 64
@@ -165,8 +126,8 @@ func (o Options) withDefaults() Options {
 
 // Backend pairs one device's deployed library with its device model. Device
 // is the name clients route by. The model never prices a served decision: it
-// scores the degraded-mode fallback config, regret samples and retrain gates,
-// all off the request path, and supplies a unified selector's device features.
+// prices regret samples and retrain gates, both off the request path, and
+// supplies a unified selector's device features.
 type Backend struct {
 	Device string
 	Lib    *core.Library
@@ -175,14 +136,13 @@ type Backend struct {
 
 // Server answers kernel-selection queries for one or more device backends.
 type Server struct {
-	backends       []*backend
-	byName         map[string]*backend
-	opts           Options
-	metrics        *metrics
-	genCounter     atomic.Uint64
-	fallbackShapes []gemm.Shape
-	reloadSource   ReloadSource // set before serving; nil disables /v1/reload
-	draining       func() bool
+	backends     []*backend
+	byName       map[string]*backend
+	opts         Options
+	metrics      *metrics
+	genCounter   atomic.Uint64
+	reloadSource ReloadSource // set before serving; nil disables /v1/reload
+	draining     func() bool
 
 	// Closed-loop state (regret.go, retrain.go). regretEvery is the
 	// deterministic sampling stride (0 = sampling off); regretQ feeds the
@@ -217,8 +177,6 @@ func New(lib *core.Library, model *sim.Model, opts Options) *Server {
 // NewMulti builds a server hosting one backend per device. The first backend
 // is the default route for requests that name no device. Backends must be
 // non-empty with unique, named devices and non-nil libraries and models.
-// Each backend gets MaxInFlight/len(backends) admission tokens unless
-// Options.Budgets overrides it.
 func NewMulti(backends []Backend, opts Options) (*Server, error) {
 	if len(backends) == 0 {
 		return nil, errors.New("serve: no backends")
@@ -228,7 +186,6 @@ func NewMulti(backends []Backend, opts Options) (*Server, error) {
 		byName:         make(map[string]*backend, len(backends)),
 		opts:           opts,
 		metrics:        newMetrics(),
-		fallbackShapes: opts.FallbackShapes,
 		draining:       func() bool { return false },
 		regretUniverse: opts.RegretUniverse,
 		stop:           make(chan struct{}),
@@ -239,10 +196,6 @@ func NewMulti(backends []Backend, opts Options) (*Server, error) {
 			s.regretEvery = 1
 		}
 		s.regretQ = make(chan regretSample, regretQueue)
-	}
-	defaultBudget := opts.MaxInFlight / len(backends)
-	if defaultBudget < 1 {
-		defaultBudget = 1
 	}
 	for i, b := range backends {
 		if b.Device == "" {
@@ -264,20 +217,10 @@ func NewMulti(backends []Backend, opts Options) (*Server, error) {
 		if _, dup := s.byName[b.Device]; dup {
 			return nil, fmt.Errorf("serve: duplicate device %q", b.Device)
 		}
-		budget := defaultBudget
-		if o, ok := opts.Budgets[b.Device]; ok {
-			if o < 1 {
-				return nil, fmt.Errorf("serve: budget override %d for %q must be >= 1", o, b.Device)
-			}
-			budget = o
-		}
 		be := &backend{
-			name:               b.Device,
-			budget:             make(chan struct{}, budget),
-			budgetCap:          budget,
-			window:             newShapeWindow(opts.WindowSize),
-			regretHist:         newValueHistogram(regretBuckets),
-			regretDegradedHist: newValueHistogram(regretBuckets),
+			name:       b.Device,
+			window:     newShapeWindow(opts.WindowSize),
+			regretHist: newValueHistogram(regretBuckets),
 		}
 		mix := mixOf(opts.TrainShapes)
 		be.driftRef.Store(&mix)
@@ -299,8 +242,8 @@ func NewMulti(backends []Backend, opts Options) (*Server, error) {
 // "one artifact for every device" deployment. Each model contributes a
 // backend named after its device; at dispatch the backend appends its
 // device's feature vector to the request shape, so per-device answers come
-// from the single shared selector while budgets and metrics stay per-device as
-// in NewMulti.
+// from the single shared selector while metrics stay per-device as in
+// NewMulti.
 func NewUnified(lib *core.Library, models []*sim.Model, opts Options) (*Server, error) {
 	if lib == nil {
 		return nil, errors.New("serve: nil library")
@@ -373,9 +316,10 @@ func (s *Server) backend(name string) (*backend, error) {
 }
 
 // Decision is one answer: the chosen configuration for a shape. Generation
-// identifies the library epoch that produced it. Degraded decisions carry the
-// backend's fallback config and the reason it was served in place of the
-// selector's choice.
+// identifies the library epoch that produced it. selectd always answers with
+// its selector's choice; Degraded and DegradedReason are set only by a tier
+// in front of it that answers without a replica (the cluster router's
+// "replica_down" fallback).
 type Decision struct {
 	Device         string `json:"device"`
 	Shape          string `json:"shape"`
@@ -394,26 +338,14 @@ type Decision struct {
 // the caller to fill or render.
 func (s *Server) selection(be *backend, gen *generation, shape gemm.Shape) Decision {
 	idx := gen.choose(shape)
-	d := Decision{
+	s.account(be, gen, shape, idx)
+	return Decision{
 		Device:     gen.device,
 		Config:     gen.configs[idx],
 		Index:      idx,
 		KernelID:   gen.kernelIDs[idx],
 		Generation: gen.id,
 	}
-	s.account(be, gen, shape, &d)
-	return d
-}
-
-// degradedDecision stamps the generation's precomputed fallback for one
-// shape, counts it and accounts it.
-func (s *Server) degradedDecision(be *backend, gen *generation, shape gemm.Shape) Decision {
-	be.degraded.Add(1)
-	d := *gen.fb.Load()
-	d.Shape = shape.String()
-	d.DegradedReason = reasonBudget
-	s.account(be, gen, shape, &d)
-	return d
 }
 
 // ---------------------------------------------------------------------------
@@ -429,22 +361,10 @@ type shapeRequest struct {
 	Device string `json:"device,omitempty"`
 }
 
-func (r shapeRequest) shape() (gemm.Shape, error) {
-	s := gemm.Shape{M: r.M, K: r.K, N: r.N}
-	if err := s.Validate(); err != nil {
-		return gemm.Shape{}, err
-	}
-	return s, nil
-}
-
 type batchShape struct {
 	M int `json:"m"`
 	K int `json:"k"`
 	N int `json:"n"`
-}
-
-func (r batchShape) shape() (gemm.Shape, error) {
-	return shapeRequest{M: r.M, K: r.K, N: r.N}.shape()
 }
 
 type batchRequest struct {
@@ -493,9 +413,6 @@ type healthzBackend struct {
 	Selector     string `json:"selector"`
 	Configs      int    `json:"configs"`
 	Compiled     bool   `json:"compiled_selector"`
-	InFlight     int64  `json:"in_flight"`
-	BudgetFree   int    `json:"budget_free"`
-	BudgetCap    int    `json:"budget_cap"`
 	WarmComplete bool   `json:"warm_complete"` // always true: nothing warms, so readiness pollers never wait
 }
 
@@ -521,17 +438,12 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// statusWriter records the status code a handler commits, and whether the
-// response should be kept out of the latency histogram (sheds and degraded
-// answers do little or no work; a flood of their near-zero durations would
-// drag the latency quantiles toward zero exactly when the server is slowest
-// and real full-service latencies matter most). Writers are pooled: one is
-// borrowed per request and returned after accounting, so instrumentation
-// itself stays off the allocator.
+// statusWriter records the status code a handler commits. Writers are
+// pooled: one is borrowed per request and returned after accounting, so
+// instrumentation itself stays off the allocator.
 type statusWriter struct {
 	http.ResponseWriter
-	code        int
-	skipLatency bool
+	code int
 }
 
 var swPool = sync.Pool{New: func() any { return new(statusWriter) }}
@@ -541,29 +453,17 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// markNoLatency flags the response as excluded from the latency histogram.
-func markNoLatency(w http.ResponseWriter) {
-	if sw, ok := w.(*statusWriter); ok {
-		sw.skipLatency = true
-	}
-}
-
-// instrument wraps a handler with counter/latency accounting. The endpoint's
-// metrics are resolved once at mux construction, not per request through the
-// registry mutex. Batch admission is per-backend and happens inside the
-// handler once the device is resolved.
+// instrument wraps a handler with counter/latency accounting: every response
+// is counted and observed. The endpoint's metrics are resolved once at mux
+// construction, not per request through the registry mutex.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	e := s.metrics.endpoint(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := swPool.Get().(*statusWriter)
-		sw.ResponseWriter, sw.code, sw.skipLatency = w, http.StatusOK, false
+		sw.ResponseWriter, sw.code = w, http.StatusOK
 		h(sw, r)
-		if sw.skipLatency {
-			e.observeCode(sw.code)
-		} else {
-			e.observe(sw.code, time.Since(start))
-		}
+		e.observe(sw.code, time.Since(start))
 		sw.ResponseWriter = nil
 		swPool.Put(sw)
 	}
@@ -575,59 +475,22 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// retryAfterSeconds is the back-off hint stamped on every 429 shed and 503
-// drain response. Both conditions are transient — an EWMA decaying, a drain
-// rotating the instance out — so one second is long enough for the load
-// balancer or the cluster router to stop hammering a saturated replica and
-// short enough that a recovered backend picks its traffic back up on the
-// next attempt.
+// retryAfterSeconds is the back-off hint stamped on the draining /healthz
+// 503: a drain rotating the instance out is transient, so one second is long
+// enough for a poller to stop hammering it and short enough to notice a
+// replacement promptly.
 const retryAfterSeconds = "1"
 
-// writeRetryable writes an error response with a Retry-After header, used by
-// the 429 shed path so well-behaved clients (and the cluster router's
-// backoff) know the condition is transient.
-func writeRetryable(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Retry-After", retryAfterSeconds)
-	writeJSON(w, code, v)
-}
-
-// writeBodyError maps a decodeBody failure to its status: 413 when the body
-// blew the size cap, 400 for everything else.
+// writeBodyError answers a body read or parse failure as RequestError maps
+// it.
 func writeBodyError(w http.ResponseWriter, err error) {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
-			Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
-		})
-		return
-	}
-	writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-}
-
-// admit runs a batch's per-backend admission ladder: 429 when the backend's
-// latency EWMA is over the shed threshold, a nil release with degraded=true
-// when the batch should be answered degraded (budget exhausted), or a live
-// release token. It writes the 429 itself.
-func (s *Server) admit(w http.ResponseWriter, be *backend) (release func(), degraded bool, shed bool) {
-	if be.overloaded(s.opts.ShedLatency) {
-		be.shed.Add(1)
-		markNoLatency(w)
-		writeRetryable(w, http.StatusTooManyRequests, errorResponse{
-			Error: fmt.Sprintf("backend %q overloaded", be.name),
-		})
-		return nil, false, true
-	}
-	release, ok := be.acquire()
-	if !ok {
-		return nil, true, false
-	}
-	return release, false, false
+	code, body := RequestError(err)
+	writeRawJSON(w, code, body)
 }
 
 // handleSelect is the hot path. A well-formed body runs allocation-free:
-// pooled body buffer, hand-rolled parse, map-keyed backend lookup, the
-// compiled selector, append encoding into the same pooled buffer. Only odd
-// JSON steps off onto the strict decoder.
+// pooled body buffer, ParseSelect's hand-rolled scan, map-keyed backend
+// lookup, the compiled selector, append encoding into the same pooled buffer.
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	bp := bufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
@@ -636,40 +499,22 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		bufPool.Put(bp)
 	}()
 	body, err := readBody(w, r, buf[:cap(buf)])
+	buf = body[:0]
+	var shape gemm.Shape
+	var device []byte // aliases body; consumed before buf is reused
+	if err == nil {
+		shape, device, err = ParseSelect(body)
+	}
 	if err != nil {
 		writeBodyError(w, err)
 		return
 	}
-	buf = body[:0]
-
-	var be *backend
-	var shape gemm.Shape
-	if p, ok := parseSelectBody(body); ok {
-		if len(p.device) == 0 {
-			be = s.backends[0]
-		} else if be, ok = s.byName[string(p.device)]; !ok {
+	be, ok := s.backends[0], true
+	if len(device) > 0 {
+		if be, ok = s.byName[string(device)]; !ok {
 			writeJSON(w, http.StatusBadRequest, errorResponse{
-				Error: fmt.Sprintf("unknown device %q (serving: %s)", p.device, strings.Join(s.Devices(), ", ")),
+				Error: fmt.Sprintf("unknown device %q (serving: %s)", device, strings.Join(s.Devices(), ", ")),
 			})
-			return
-		}
-		shape = gemm.Shape{M: p.m, K: p.k, N: p.n}
-		if err := shape.Validate(); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-			return
-		}
-	} else {
-		var req shapeRequest
-		if err := decodeStrict(body, &req); err != nil {
-			writeBodyError(w, err)
-			return
-		}
-		if be, err = s.backend(req.Device); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-			return
-		}
-		if shape, err = req.shape(); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 			return
 		}
 	}
@@ -680,71 +525,41 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	writeRawJSON(w, http.StatusOK, buf)
 }
 
+// handleBatch answers every shape of a batch with the selector's choice from
+// one generation, append-encoded through the buffer pool instead of running
+// the reflection encoder over up to MaxBatch decisions.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	bp := bufPool.Get().(*[]byte)
+	buf := (*bp)[:0]
+	defer func() {
+		*bp = buf[:0]
+		bufPool.Put(bp)
+	}()
+	body, err := readBody(w, r, buf[:cap(buf)])
+	buf = body[:0]
+	var device string
+	var shapes []gemm.Shape
+	if err == nil {
+		device, shapes, err = ParseBatch(body)
+	}
+	if err != nil {
 		writeBodyError(w, err)
 		return
 	}
-	be, err := s.backend(req.Device)
+	be, err := s.backend(device)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	if err := CheckBatchSize(len(req.Shapes)); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	shapes := make([]gemm.Shape, len(req.Shapes))
-	for i, sr := range req.Shapes {
-		shape, err := sr.shape()
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{
-				Error: fmt.Sprintf("shape %d: %v", i, err),
-			})
-			return
-		}
-		shapes[i] = shape
-	}
-
-	// One admission token covers the whole batch (it is one request's worth
-	// of concurrency); budget exhaustion degrades every shape in it.
-	release, degraded, shed := s.admit(w, be)
-	if shed {
-		return
-	}
 	gen := be.gen.Load()
 	results := make([]Decision, len(shapes))
-	if degraded {
-		for i, sh := range shapes {
-			results[i] = s.degradedDecision(be, gen, sh)
-		}
-		markNoLatency(w)
-		writeBatch(w, results)
-		return
-	}
-	defer release()
-	be.inflight.Add(1)
-	defer be.inflight.Add(-1)
-
-	start := time.Now()
 	for i, sh := range shapes {
 		results[i] = s.selection(be, gen, sh)
 		results[i].Shape = sh.String()
 	}
-	ewmaObserve(&be.latencyEWMA, time.Since(start))
-	writeBatch(w, results)
-}
-
-// writeBatch append-encodes a batch response through the buffer pool instead
-// of running the reflection encoder over up to MaxBatch decisions.
-func writeBatch(w http.ResponseWriter, results []Decision) {
-	bp := bufPool.Get().(*[]byte)
-	buf := appendBatch((*bp)[:0], results)
+	buf = appendBatch(buf, results)
 	buf = append(buf, '\n')
 	writeRawJSON(w, http.StatusOK, buf)
-	*bp = buf[:0]
-	bufPool.Put(bp)
 }
 
 // handleReload swaps the named backend (empty = default) onto a fresh
@@ -827,8 +642,8 @@ func (s *Server) handleDevices(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleHealthz keeps the load-balancer contract — 200 healthy, 503
-// draining — while the body reports per-backend detail: generation, in-flight
-// count and remaining budget.
+// draining — while the body reports per-backend detail: generation, selector
+// and whether it is compiled.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	resp := healthzResponse{Status: "ok", Backends: make([]healthzBackend, len(s.backends))}
 	for i, be := range s.backends {
@@ -839,9 +654,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			Selector:     gen.lib.SelectorName(),
 			Configs:      len(gen.lib.Configs),
 			Compiled:     gen.compiled,
-			InFlight:     be.inflight.Load(),
-			BudgetFree:   be.budgetFree(),
-			BudgetCap:    be.budgetCap,
 			WarmComplete: true,
 		}
 	}
@@ -865,23 +677,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			infoLine:        gen.infoLine,
 			generation:      gen.id,
 			compiled:        gen.compiled,
-			inflight:        be.inflight.Load(),
-			budgetFree:      be.budgetFree(),
-			budgetCap:       be.budgetCap,
-			shed:            be.shed.Load(),
-			degraded:        be.degraded.Load(),
-			ewmaSeconds:     ewmaValue(&be.latencyEWMA).Seconds(),
 			decisions:       be.decisions.Load(),
 			sampled:         be.sampled.Load(),
 			unsampled:       be.unsampled.Load(),
 			regretDropped:   be.regretDropped.Load(),
 			regret:          be.regretHist.snapshot(),
-			regretDegraded:  be.regretDegradedHist.snapshot(),
 			driftScore:      be.driftScore(),
 			retrainPromoted: be.retrainPromoted.Load(),
 			retrainRejected: be.retrainRejected.Load(),
 			retrainErrors:   be.retrainErrors.Load(),
-			fallbackUpdates: be.fallbackUpdates.Load(),
 		}
 		if be.window != nil {
 			st.windowSize = be.window.size()

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"kernelselect/internal/core"
 	"kernelselect/internal/dataset"
@@ -293,96 +292,6 @@ func TestMetricsPage(t *testing.T) {
 	}
 	if !strings.Contains(page, `selectd_info{selector="DecisionTree",device="amd-r9-nano"}`) {
 		t.Error("selector/device labels missing from selectd_info")
-	}
-}
-
-// Budget exhaustion does not error: the batch is answered with the backend's
-// fallback config, marked degraded, and kept out of the latency histogram.
-// Selects take no admission token, so they keep full service throughout.
-func TestBudgetExhaustionDegrades(t *testing.T) {
-	srv, ts := testServer(t, Options{MaxInFlight: 2})
-	be := srv.backends[0]
-
-	// Saturate the backend's admission budget directly — the deterministic
-	// equivalent of two requests parked in handlers.
-	rel1, ok1 := be.acquire()
-	rel2, ok2 := be.acquire()
-	if !ok1 || !ok2 {
-		t.Fatal("could not saturate a 2-token budget")
-	}
-	batch := func() Decision {
-		t.Helper()
-		br := decodeResp[batchResponse](t, postJSON(t, ts.URL+"/v1/select/batch",
-			batchRequest{Shapes: []batchShape{{M: 10, K: 10, N: 10}}}))
-		if len(br.Results) != 1 {
-			t.Fatalf("%d results for a one-shape batch", len(br.Results))
-		}
-		return br.Results[0]
-	}
-	d := batch()
-	if !d.Degraded || d.DegradedReason != "budget" || d.Shape != "10x10x10" {
-		t.Fatalf("saturated batch not degraded(budget): %+v", d)
-	}
-	if d.Config != be.gen.Load().fb.Load().Config {
-		t.Errorf("degraded config %q, want fallback %q", d.Config, be.gen.Load().fb.Load().Config)
-	}
-	if d := decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", shapeRequest{M: 10, K: 10, N: 10})); d.Degraded {
-		t.Fatalf("select degraded on an exhausted batch budget: %+v", d)
-	}
-	rel1()
-	rel2()
-
-	// Capacity restored: the same batch gets full service.
-	if d := batch(); d.Degraded {
-		t.Fatalf("batch degraded after budget release: %+v", d)
-	}
-
-	page := metricsPage(t, ts)
-	if got := metricValue(t, page, `selectd_degraded_total{device="amd-r9-nano",reason="budget"}`); got != 1 {
-		t.Errorf("degraded(budget) counter %v, want 1", got)
-	}
-	// Degraded responses do almost no work, so they must not contribute
-	// (zero-duration) observations to the latency histogram: only the
-	// full-service 200 counts.
-	if got := metricValue(t, page, `selectd_request_seconds_count{endpoint="batch"}`); got != 1 {
-		t.Errorf("latency observations %v, want 1 (degraded must not be observed)", got)
-	}
-	if free := metricValue(t, page, `selectd_budget_tokens{device="amd-r9-nano"}`); free != 2 {
-		t.Errorf("budget tokens %v, want 2 after release", free)
-	}
-}
-
-// When a backend's full-service latency EWMA exceeds the shed threshold, new
-// batches draw 429 and count toward the per-device shed series — without a
-// latency observation. Selects are never shed.
-func TestShedsAtLatencyThreshold(t *testing.T) {
-	srv, ts := testServer(t, Options{ShedLatency: time.Millisecond})
-	be := srv.backends[0]
-	ewmaObserve(&be.latencyEWMA, 50*time.Millisecond)
-
-	resp := postJSON(t, ts.URL+"/v1/select/batch", batchRequest{Shapes: []batchShape{{M: 10, K: 10, N: 10}}})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("overloaded: status %d, want 429", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Retry-After"); got != retryAfterSeconds {
-		t.Errorf("shed Retry-After = %q, want %q", got, retryAfterSeconds)
-	}
-	resp.Body.Close()
-
-	page := metricsPage(t, ts)
-	if shed := metricValue(t, page, `selectd_shed_total{device="amd-r9-nano"}`); shed != 1 {
-		t.Errorf("shed counter %v, want 1", shed)
-	}
-	if got := metricValue(t, page, `selectd_requests_total{endpoint="batch",code="429"}`); got != 1 {
-		t.Errorf("429 count %v, want 1", got)
-	}
-	if got := metricValue(t, page, `selectd_request_seconds_count{endpoint="batch"}`); got != 0 {
-		t.Errorf("latency observations %v, want 0 (sheds must not be observed)", got)
-	}
-
-	// A select keeps serving at full quality through the overload.
-	if d := decodeResp[Decision](t, postJSON(t, ts.URL+"/v1/select", shapeRequest{M: 10, K: 10, N: 10})); d.Degraded || d.Config == "" {
-		t.Fatalf("select through the overload: %+v", d)
 	}
 }
 

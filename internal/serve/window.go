@@ -9,10 +9,9 @@ import (
 )
 
 // The served-shape window is the closed loop's view of live traffic: every
-// decision (full-quality and degraded alike) appends its shape, and the
-// maintenance pass reads the window to score drift against the training mix,
-// relearn the degraded-mode fallback config, and decide whether a shadow
-// retrain is warranted. The window is bounded and sliding — old traffic ages
+// decision appends its shape, and the maintenance pass reads the window to
+// score drift against the training mix and decide whether a shadow retrain
+// is warranted. The window is bounded and sliding — old traffic ages
 // out as new traffic arrives — so the loop always reasons about the recent
 // mix, not the lifetime aggregate.
 
@@ -69,7 +68,7 @@ func (w *shapeWindow) add(s gemm.Shape) {
 }
 
 // snapshot copies the window's current contents. Order interleaves across
-// shards; the consumers (drift scoring, fallback learning, retraining) care
+// shards; the consumers (drift scoring, retraining) care
 // only about the distribution, never the sequence.
 func (w *shapeWindow) snapshot() []gemm.Shape {
 	out := make([]gemm.Shape, 0, w.size())
