@@ -35,6 +35,7 @@
 //	POST /v1/reload        {"device":"..."} → hot-swap that backend onto a freshly loaded/retrained library
 //	GET  /v1/configs       the served kernel set and selector (?device= picks a backend)
 //	GET  /v1/devices       hosted device backends and the default route
+//	GET  /v1/library       the served artifact as -save writes it (?device= picks a backend); X-Generation header
 //	GET  /metrics          Prometheus text: request counters, latency histograms, per-device decision and closed-loop series
 //	GET  /healthz          200 ok / 503 draining; body carries per-backend generation and selector detail
 //
@@ -49,7 +50,11 @@
 // generation behind an atomic pointer; POST /v1/reload or SIGHUP (which
 // reloads every device) swaps it without dropping in-flight requests. The
 // default device re-reads -library when set; other devices retrain in
-// process.
+// process. GET /v1/library serves a backend's current artifact, with its
+// generation in the X-Generation header from the same generation: a
+// selectrouter in front of the replicas pulls it and answers every select
+// itself, so behind a router a replica sees no selects (its -retrain never
+// fires there) and its window sees none of the traffic.
 //
 // SIGINT/SIGTERM starts a graceful drain: healthz flips to 503, in-flight
 // requests finish (up to -drain-timeout), then the listener closes.

@@ -2,8 +2,7 @@
 // the paper's dataset shape mix against a running daemon (or an in-process
 // server with -inprocess) at a target QPS and reports per-device latency
 // quantiles and resilience rates — how much traffic was answered full
-// service, degraded (a cluster router's replica_down fallback), shed 429, or
-// errored.
+// service, flagged degraded, shed 429, or errored.
 //
 // The shape stream is deterministic in -seed, so two runs against different
 // server builds see the same request sequence and their reports compare
@@ -22,7 +21,7 @@
 //	selectload -inprocess -qps 500 -duration 10s -baseline BENCH_serve.json    # regression gate
 //	selectload -inprocess -ramp -ramp-start 1000 -ramp-step 1000 -fig figures/fig6-saturation.svg
 //	selectload -inprocess -ramp -ramp-start 2000 -ramp-step 2000 -ramp-max 8000 -require-knee 7000
-//	selectload -url http://router:8090 -warm -qps 1000 -duration 10s
+//	selectload -scaleout -scaleout-replicas 3 -scaleout-kill 6s -fig figures/fig7-scaleout.svg
 //
 // The -json report is the serving-path benchmark baseline (`make bench-serve`
 // writes BENCH_serve.json): track p50/p95/p99 and the degraded/shed rates
@@ -38,10 +37,8 @@
 //
 // The in-process server is the one selectd ships: two device backends with
 // default options. Every select there is the same compiled-selector walk, so
-// there is nothing to warm. -warm exists for a -url that fronts a cache — a
-// cluster router's edge cache: before offering load the client sends every
-// (device, shape) the run can draw once, retrying each until it answers full
-// quality, so the run measures the steady state of a warm edge.
+// there is nothing to warm. -scaleout builds an in-process fleet of replicas
+// behind the cluster router instead and kills one of them mid-run (fig7).
 //
 // Closed-loop reporting: after a fixed-rate run the generator scrapes the
 // server's /metrics page and, when the server samples decisions for regret
@@ -152,7 +149,6 @@ func main() {
 	inprocess := flag.Bool("inprocess", false, "benchmark an in-process server instead of -url")
 	regretSample := flag.Float64("regret-sample", 0, "closed-loop regret sampling fraction on the -inprocess server (0 disables)")
 	maxRegret := flag.Float64("max-regret", 0, "fail when any device's mean sampled regret exceeds this (0 = no gate)")
-	warm := flag.Bool("warm", false, "prime the -url router's edge cache with every (device, shape) the run can draw before offering load")
 	baseline := flag.String("baseline", "", "compare against a stored report; exit non-zero on regression")
 	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional regression vs -baseline (QPS and p99)")
 	p99Slack := flag.Duration("p99-slack", 0, "absolute grace on the -baseline p99 comparison: a rise fails only past both the tolerance ceiling and baseline+slack")
@@ -165,14 +161,10 @@ func main() {
 	kneeQPS := flag.Float64("knee-qps", 0.95, "achieved/offered ratio below which the knee is declared")
 	fig := flag.String("fig", "", "write the ramp's latency/shed trade-off figure (SVG) to this path")
 	requireKnee := flag.Int("require-knee", 0, "fail unless the ramp's saturation knee is at or above this QPS (0 = no gate)")
-	scaleout := flag.Bool("scaleout", false, "replica-kill timeline and warmed edge-cache phase of an in-process sharded fleet behind the cluster router (uses -fig/-json for fig7 outputs)")
-	scaleReplicas := flag.Int("scaleout-replicas", 3, "fleet size for the -scaleout runs")
+	scaleout := flag.Bool("scaleout", false, "replica-kill timeline of an in-process fleet behind the cluster router (uses -fig/-json for fig7 outputs)")
+	scaleReplicas := flag.Int("scaleout-replicas", 3, "fleet size for the -scaleout run")
 	scaleQPS := flag.Int("scaleout-qps", 450, "offered QPS of the replica-kill timeline")
-	scaleDuration := flag.Duration("scaleout-duration", 3*time.Second, "measurement window per warmed-phase step")
-	scaleKill := flag.Duration("scaleout-kill", 6*time.Second, "length of the replica-kill timeline run (0 skips it)")
-	scaleWarmedQPS := flag.Int("scaleout-warmed-qps", 1600, "top offered QPS for the warmed fast-path phase (router edge cache on); 0 skips the phase")
-	scaleWarmedGate := flag.Float64("scaleout-warmed-gate", 0, "fail unless the warmed fleet's full-service QPS at the top offered step reaches this floor (0 = no gate)")
-	scaleWarmedP99 := flag.Duration("scaleout-warmed-p99", time.Millisecond, "p99 ceiling at the warmed phase's top offered step, enforced with -scaleout-warmed-gate (0 = no ceiling)")
+	scaleKill := flag.Duration("scaleout-kill", 6*time.Second, "length of the replica-kill timeline run")
 	flag.Parse()
 
 	cfg := config{
@@ -191,19 +183,17 @@ func main() {
 	}
 
 	if *scaleout {
-		// The runs build their own in-process fleets; -url, -inprocess, and
-		// the ramp flags do not apply.
+		// The run builds its own in-process fleet; -url, -inprocess, and the
+		// ramp flags do not apply.
+		if *scaleKill <= 0 || *scaleQPS <= 0 || *scaleReplicas < 1 {
+			log.Fatal("-scaleout needs a positive -scaleout-kill, -scaleout-qps and -scaleout-replicas")
+		}
 		err := runScaleout(scaleoutConfig{
 			replicas: *scaleReplicas,
 			qps:      *scaleQPS,
-			duration: *scaleDuration,
 			killRun:  *scaleKill,
 			seed:     cfg.seed,
 			workers:  cfg.workers,
-
-			warmedQPS:  *scaleWarmedQPS,
-			warmedGate: *scaleWarmedGate,
-			warmedP99:  *scaleWarmedP99,
 		}, *jsonPath, *fig)
 		if err != nil {
 			log.Fatal(err)
@@ -213,9 +203,6 @@ func main() {
 
 	if *regretSample > 0 && !*inprocess {
 		log.Fatal("-regret-sample requires -inprocess (a remote daemon samples via its own -regret-sample flag)")
-	}
-	if *warm && *inprocess {
-		log.Fatal("-warm primes a router's edge cache through -url; the -inprocess server has no cache to prime")
 	}
 	if *inprocess {
 		ts, names, err := inprocessServer(*regretSample)
@@ -227,13 +214,6 @@ func main() {
 		if len(cfg.devices) == 0 {
 			cfg.devices = names
 		}
-	}
-	if *warm {
-		shapes := cfg.mix()
-		if err := warmFastPath(cfg.url, cfg.devices, shapes); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("edge cache primed: %d shapes on %d device route(s)", len(shapes), max(len(cfg.devices), 1))
 	}
 
 	if *ramp {

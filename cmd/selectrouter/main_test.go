@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,10 +72,13 @@ func TestParseReplicas(t *testing.T) {
 	}
 }
 
-// The router has no micro-batcher, peer warming or connection pre-warming,
-// so their flags must fail loudly rather than be accepted and ignored.
+// The router has no micro-batcher, peer warming, connection pre-warming,
+// edge cache, hash ring, retry/hedge ladder or in-process training, so their
+// flags must fail loudly rather than be accepted and ignored.
 func TestRemovedFlagsRejected(t *testing.T) {
-	for _, arg := range []string{"-batch-window=250us", "-warm-top=64", "-warm-conns=8"} {
+	for _, arg := range []string{"-batch-window=250us", "-warm-top=64", "-warm-conns=8",
+		"-device=r9nano", "-selector=tree", "-n=8", "-seed=42", "-edge-cache=4096",
+		"-hedge-delay=25ms", "-retries=2", "-retry-backoff=5ms", "-backoff-cap=1s", "-vnodes=128"} {
 		var out bytes.Buffer
 		err := run(context.Background(), []string{arg, "-replicas", "http://127.0.0.1:1"}, &out)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
@@ -152,7 +156,7 @@ func TestRunServesAndDrains(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-replicas", replica.URL,
-			"-probe-interval", "0", "-n", "4"}, logs)
+			"-probe-interval", "0"}, logs)
 	}()
 	addr := "http://" + logs.await(t, "routing on ")
 
@@ -166,8 +170,8 @@ func TestRunServesAndDrains(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || err != nil {
 		t.Fatalf("select through the router: status %d, decode error %v", resp.StatusCode, err)
 	}
-	if d.Degraded || d.Config != lib.Configs[d.Index].String() {
-		t.Fatalf("decision %+v is not the replica's full-quality answer", d)
+	if gen, _ := srv.Generation(""); d.Generation != gen || d.Config != lib.Configs[d.Index].String() {
+		t.Fatalf("decision %+v is not the replica's answer at generation %d", d, gen)
 	}
 
 	cancel()
@@ -185,5 +189,59 @@ func TestRunServesAndDrains(t *testing.T) {
 	if resp, err := http.Post(addr+"/v1/select", "application/json", strings.NewReader(`{"m":1,"k":1,"n":1}`)); err == nil {
 		resp.Body.Close()
 		t.Error("router still accepting requests after it drained")
+	}
+}
+
+// While no replica answers, the router logs each failed pull and retries; it
+// starts serving once one answers, and a cancel before that ends the run.
+func TestRunRetriesUntilAReplicaAnswers(t *testing.T) {
+	model := sim.New(device.R9Nano())
+	ds := dataset.Build(model, []gemm.Shape{{M: 1, K: 4096, N: 1000}, {M: 3136, K: 64, N: 64}, {M: 784, K: 1152, N: 256}},
+		gemm.AllConfigs()[:60])
+	srv := serve.New(core.BuildLibrary(ds, core.DecisionTree{}, core.DecisionTreeSelector{}, 3, 42), model, serve.Options{})
+	defer srv.Close()
+	var ready atomic.Bool
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !ready.Load() {
+			http.Error(w, "starting", http.StatusServiceUnavailable)
+			return
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	defer replica.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	logs := newLogWatch()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-replicas", replica.URL, "-probe-interval", "0"}, logs)
+	}()
+	logs.await(t, "no replica serves an artifact")
+	ready.Store(true)
+	addr := "http://" + logs.await(t, "routing on ")
+	resp, err := http.Post(addr+"/v1/select", "application/json", strings.NewReader(`{"m":784,"k":1152,"n":256}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("select after the replica came up: status %d", resp.StatusCode)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("run after cancel: %v", err)
+	}
+
+	ready.Store(false)
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	logs2 := newLogWatch()
+	go func() {
+		done <- run(ctx2, []string{"-addr", "127.0.0.1:0", "-replicas", replica.URL}, logs2)
+	}()
+	logs2.await(t, "no replica serves an artifact")
+	cancel2()
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "stopped before any replica served an artifact") {
+		t.Fatalf("run cancelled while no replica answers: error %v", err)
 	}
 }

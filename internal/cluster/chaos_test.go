@@ -8,8 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,22 +26,22 @@ import (
 )
 
 // TestChaosCluster drives a 3-replica fleet through seed-determined latency
-// spikes, injected replica 503s and client cancellations on the select
-// endpoints while one replica — chosen by the seed — is killed at the
-// transport mid-load, restored, and rolled onto a new generation through the
-// router's rolling reload. The audit pins the cluster resilience invariants:
+// spikes, injected 503s and cancellations on every replica endpoint the
+// router calls (probes, artifact pulls, reloads), while one replica — chosen
+// by the seed — is killed at the transport mid-load and restored, and rolling
+// reloads through the router race an out-of-band reload of another replica.
+// Clients keep sending selects and batches through the router the whole
+// time. The audit pins the router's invariants:
 //
-//   - a valid shape never sees a 5xx, not even when a replica answers 503:
-//     every response is 200 (no shipped daemon sends 429 either);
-//   - every 200 is generation-consistent: its config sits at its index in the
-//     library of the generation stamped on it, and it agrees with that
-//     library's interpreted selector;
-//   - every degraded answer is a router-local fallback with reason
-//     replica_down — selectd itself never degrades;
-//   - every surviving edge-cache entry is full quality and stamped with its
-//     owner's current generation;
-//   - the outage really fired (kills and severed connections counted) and
-//     the fleet re-converges to an all-up /v1/cluster view.
+//   - no valid shape ever sees anything but a 200, with the victim dark and
+//     with pulls failing;
+//   - every answer is the selector's choice for its stamped generation: each
+//     replica's k-th reload swaps in the other artifact, so generation g names
+//     artifact (g-1) mod 2 on every replica;
+//   - generations never go backwards for a client;
+//   - the outage and the injector really fired, the answers span more than
+//     one generation, and once faults stop one probe round returns the fleet
+//     to an all-up view with the router on the newest generation.
 //
 // Seed count from CHAOS_SEEDS (default 2); reproduce one seed with
 // `CHAOS_SEEDS=1 CHAOS_BASE=<seed> go test -run TestChaosCluster/seed=<seed>`.
@@ -71,36 +74,45 @@ func TestChaosCluster(t *testing.T) {
 func chaosClusterRun(t *testing.T, seed uint64) {
 	const replicaCount = 3
 	inj := faultinject.New(seed, faultinject.Options{
-		Error:     0.02,
-		Spike:     0.02,
-		SpikeMax:  100 * time.Microsecond,
+		Error:     0.15,
+		Spike:     0.2,
+		SpikeMax:  2 * time.Millisecond,
 		Cancel:    0.05,
-		CancelMax: 300 * time.Microsecond,
+		CancelMax: time.Millisecond,
 	})
+	var armed atomic.Bool // faults start once the router has built its engine
 
 	model := sim.New(device.R9Nano())
 	ds := dataset.Build(model, fleetShapes, gemm.AllConfigs()[:120])
-	libA := core.BuildLibrary(ds, core.DecisionTree{}, core.DecisionTreeSelector{}, 6, 42)
-	libB := core.BuildLibrary(ds, core.DecisionTree{}, core.DecisionTreeSelector{}, 4, 42)
+	libs := []*core.Library{
+		core.BuildLibrary(ds, core.DecisionTree{}, core.DecisionTreeSelector{}, 6, 42),
+		core.BuildLibrary(ds, core.DecisionTree{}, core.DecisionTreeSelector{}, 4, 42),
+	}
+	libOf := func(gen uint64) *core.Library { return libs[(gen-1)%2] }
 
-	// Every replica is an identically-trained single-device selectd with the
-	// shared injector on its select endpoints — the data plane; probes and
-	// reloads stay clean — and an outage switch on its wire.
+	// Every replica is an identically-trained single-device selectd whose
+	// k-th reload swaps in libs[k%2], behind the shared injector and an
+	// outage switch on its wire.
 	var srvs []*serve.Server
 	var outages []*faultinject.Outage
 	replicas := make([]*Replica, replicaCount)
 	var servers []*httptest.Server
 	for i := 0; i < replicaCount; i++ {
-		srv := serve.New(libA, model, serve.Options{WindowSize: 512})
+		srv := serve.New(libs[0], model, serve.Options{WindowSize: 512})
+		var reloads atomic.Uint64
 		srv.SetReloadSource(func(string) (*core.Library, *sim.Model, error) {
-			return libB, nil, nil
+			return libs[reloads.Add(1)%2], nil, nil
 		})
-		mux := http.NewServeMux()
-		mux.Handle("/", srv.Handler())
-		mux.Handle("/v1/select", inj.Middleware(srv.Handler()))
-		mux.Handle("/v1/select/batch", inj.Middleware(srv.Handler()))
+		faulty := inj.Middleware(srv.Handler())
+		h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if armed.Load() {
+				faulty.ServeHTTP(w, r)
+				return
+			}
+			srv.Handler().ServeHTTP(w, r)
+		})
 		o := faultinject.NewOutage()
-		ts := httptest.NewServer(o.Middleware(mux))
+		ts := httptest.NewServer(o.Middleware(h))
 		srvs = append(srvs, srv)
 		outages = append(outages, o)
 		servers = append(servers, ts)
@@ -115,42 +127,42 @@ func chaosClusterRun(t *testing.T, seed uint64) {
 		}
 	}()
 
-	local := serve.New(libA, model, serve.Options{})
-	defer local.Close()
-	router, err := New(Options{
-		Replicas:      replicas,
-		Local:         local,
-		Retries:       replicaCount,
-		RetryBackoff:  2 * time.Millisecond,
-		HedgeDelay:    10 * time.Millisecond,
-		EdgeCacheSize: 2048,
-	})
+	router, err := New(context.Background(), Options{Replicas: replicas})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer router.Close()
 	rts := httptest.NewServer(router.Handler())
 	defer rts.Close()
+	armed.Store(true)
 
-	// Seed-determined victim; kill/restore/reload land at fixed fractions of
-	// the load window.
+	// Seed-determined victim and out-of-band reload target.
 	victim := int(seed % replicaCount)
+	oob := (victim + 1) % replicaCount
 
 	type outcome struct {
 		status  int
 		results []serve.Decision
 	}
 	const goroutines = 8
-	const perG = 40
+	const minPerG = 40
 	var wg sync.WaitGroup
 	outcomes := make([][]outcome, goroutines)
 	errs := make(chan error, goroutines)
+	stop := make(chan struct{})
 	client := &http.Client{Timeout: 10 * time.Second}
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < perG; i++ {
+			for i := 0; ; i++ {
+				if i >= minPerG {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
 				var url string
 				var raw []byte
 				if i%4 == 3 {
@@ -166,7 +178,7 @@ func chaosClusterRun(t *testing.T, seed uint64) {
 				}
 				resp, err := client.Post(url, "application/json", bytes.NewReader(raw))
 				if err != nil {
-					errs <- fmt.Errorf("goroutine %d request %d: %w", g, i, err)
+					errs <- fmt.Errorf("client %d request %d: %w", g, i, err)
 					return
 				}
 				o := outcome{status: resp.StatusCode}
@@ -186,105 +198,117 @@ func chaosClusterRun(t *testing.T, seed uint64) {
 				}
 				resp.Body.Close()
 				outcomes[g] = append(outcomes[g], o)
-				time.Sleep(500 * time.Microsecond)
+				time.Sleep(200 * time.Microsecond)
 			}
 		}(g)
 	}
 
-	// The chaos conductor: probe → kill the victim mid-run → probe (the
-	// fleet routes around it) → restore → probe (it rejoins) → roll it onto
-	// the new generation.
-	conduct := func() error {
-		step := 18 * time.Millisecond
-		probe := func() { router.ProbeOnce(context.Background()) }
-		time.Sleep(step)
-		probe()
-		outages[victim].Kill()
-		time.Sleep(2 * step)
-		probe()
-		time.Sleep(2 * step)
-		outages[victim].Restore()
-		probe()
-		if got := router.health.state(replicaName(victim)); got != StateUp {
-			return fmt.Errorf("restored victim %d still %q after probe", victim, got)
+	// The chaos conductor: probe → kill the victim → probe (it goes down) →
+	// a rolling reload through the router racing an out-of-band reload of
+	// another replica → probe (the router catches up on whatever it missed)
+	// → restore → probe (the victim rejoins) → roll the fleet again. Faults
+	// may fail any reload or pull; the router must answer regardless.
+	step := 5 * time.Millisecond
+	probe := func() { router.ProbeOnce(context.Background()) }
+	roll := func() {
+		resp, err := client.Post(rts.URL+"/v1/reload", "application/json", strings.NewReader(`{}`))
+		if err == nil {
+			resp.Body.Close()
 		}
-		body, _ := json.Marshal(map[string]string{"replica": replicaName(victim)})
-		resp, err := client.Post(rts.URL+"/v1/reload", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return fmt.Errorf("router reload: %w", err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("router reload: status %d", resp.StatusCode)
-		}
-		return nil
 	}
-	if err := conduct(); err != nil {
-		t.Error(err)
-	}
+	time.Sleep(step)
+	probe()
+	outages[victim].Kill()
+	time.Sleep(step)
+	probe()
+	var race sync.WaitGroup
+	race.Add(2)
+	go func() { defer race.Done(); roll() }()
+	go func() {
+		defer race.Done()
+		resp, err := client.Post(servers[oob].URL+"/v1/reload", "application/json", strings.NewReader(`{}`))
+		if err == nil {
+			resp.Body.Close()
+		}
+	}()
+	race.Wait()
+	probe()
+	time.Sleep(step)
+	outages[victim].Restore()
+	probe()
+	roll()
+	time.Sleep(step)
+	probe()
+	close(stop)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
 
-	// Generation map: every replica starts at generation 1 on libA; the
-	// victim's single reload moves it to generation 2 on libB. The router's
-	// local fallback engine also serves generation 1 of libA.
-	libsByGen := map[uint64]*core.Library{1: libA, 2: libB}
-
-	var total, fallbackN int
+	// The audit.
+	gensSeen := map[uint64]bool{}
+	var total int
 	for g := range outcomes {
+		var last uint64
 		for _, o := range outcomes[g] {
 			total++
 			if o.status != http.StatusOK {
-				t.Fatalf("valid shape answered %d — the no-5xx (and no-429) contract is broken", o.status)
+				t.Fatalf("client %d: valid shape answered %d — the no-5xx contract is broken", g, o.status)
+			}
+			if len(o.results) == 0 {
+				t.Fatalf("client %d: a 200 carried no decision", g)
 			}
 			for _, d := range o.results {
-				lib, ok := libsByGen[d.Generation]
-				if !ok {
-					t.Fatalf("response from unknown generation %d", d.Generation)
+				if d.Generation == 0 {
+					t.Fatalf("client %d: answer %+v carries no generation", g, d)
 				}
-				if d.Index < 0 || d.Index >= len(lib.Configs) || d.Config != lib.Configs[d.Index].String() {
-					t.Fatalf("gen %d: config %q / index %d inconsistent with its library", d.Generation, d.Config, d.Index)
+				if d.Generation < last {
+					t.Fatalf("client %d: generation went back from %d to %d", g, last, d.Generation)
 				}
+				last = d.Generation
+				gensSeen[d.Generation] = true
+				lib := libOf(d.Generation)
 				var sh gemm.Shape
 				if _, err := fmt.Sscanf(d.Shape, "%dx%dx%d", &sh.M, &sh.K, &sh.N); err != nil {
 					t.Fatalf("unparseable shape %q", d.Shape)
 				}
-				// The router's fallback answers with its local engine's
-				// selector, so a degraded answer agrees with its library too.
-				if want := lib.ChooseIndex(sh); d.Index != want {
-					t.Fatalf("gen %d shape %s: served index %d, selector says %d", d.Generation, d.Shape, d.Index, want)
-				}
-				if d.Degraded || d.DegradedReason != "" {
-					if !d.Degraded || d.DegradedReason != "replica_down" {
-						t.Fatalf("degraded answer %+v; the only degraded answer is the router's replica_down", d)
-					}
-					fallbackN++
+				want := lib.ChooseIndex(sh)
+				if d.Index != want || d.Config != lib.Configs[want].String() {
+					t.Fatalf("gen %d shape %s: served %s (index %d), the selector chooses %s (index %d)",
+						d.Generation, d.Shape, d.Config, d.Index, lib.Configs[want], want)
 				}
 			}
 		}
 	}
-	if total != goroutines*perG {
-		t.Fatalf("%d outcomes for %d requests", total, goroutines*perG)
+	if len(gensSeen) < 2 {
+		t.Errorf("answers carried only generations %v; the reloads never reached the router", gensSeen)
 	}
 
-	// The outage must actually have fired.
-	if outages[victim].Kills() != 1 {
-		t.Errorf("victim kills %d, want 1", outages[victim].Kills())
+	// The outage and the injector must actually have fired.
+	if outages[victim].Kills() != 1 || outages[victim].Severed() == 0 {
+		t.Errorf("victim kills %d, severed %d; want one kill that severed the probe", outages[victim].Kills(), outages[victim].Severed())
 	}
-	if outages[victim].Severed() == 0 && router.metrics.repErrors.Load() == 0 {
-		t.Error("kill window severed nothing and the router saw no replica errors — outage never bit")
+	st := inj.Stats()
+	if st.Spikes+st.Errors+st.Cancels == 0 {
+		t.Error("injector fired no faults — chaos run exercised nothing")
 	}
 
-	// Re-convergence: a probe round returns the whole fleet to up, and the
-	// HTTP view agrees.
+	// Re-convergence: with faults off, one probe round returns the whole
+	// fleet to up and the router to the newest generation any replica serves.
+	armed.Store(false)
 	view := router.ProbeOnce(context.Background())
-	for _, e := range view.Replicas {
+	var newest uint64
+	for i, e := range view.Replicas {
 		if e.State != StateUp {
 			t.Errorf("replica %s state %q after recovery probe, want up", e.Name, e.State)
 		}
+		if g, _ := srvs[i].Generation(""); g > newest {
+			newest = g
+		}
+	}
+	if got, _ := router.engine.Generation(""); got != newest {
+		t.Errorf("router serves generation %d after recovery, the newest replica %d", got, newest)
 	}
 	resp, err := client.Get(rts.URL + "/v1/cluster")
 	if err != nil {
@@ -300,43 +324,16 @@ func chaosClusterRun(t *testing.T, seed uint64) {
 			t.Errorf("/v1/cluster reports %s %q after recovery", e.Name, e.State)
 		}
 	}
-	if gen := wireView.Replicas[victim].Generations[model.Dev.Name]; gen != 2 {
-		t.Errorf("victim generation %d in the recovered view, want 2 (post-reload)", gen)
-	}
+	t.Logf("seed %d: %d requests over generations %v; victim %d severed %d conns; injected %d spikes %d errors %d cancels; router: %d reloads, %d failed pulls",
+		seed, total, sortedGens(gensSeen), victim, outages[victim].Severed(),
+		st.Spikes, st.Errors, st.Cancels, router.metrics.reloads.Load(), router.metrics.pullErrors.Load())
+}
 
-	// Cache-coherence audit: with the edge cache live through kills, reloads
-	// and gossip, every surviving entry must be stamped with its owning
-	// replica's CURRENT generation (per the recovered view), agree with its
-	// own rendered body, and match the register a get() would check — i.e. no
-	// request from here on could ever be served a stale or degraded body.
-	finalGens := make([]uint64, replicaCount)
-	for i, e := range view.Replicas {
-		finalGens[i] = e.Generations[model.Dev.Name]
+func sortedGens(m map[uint64]bool) []uint64 {
+	out := make([]uint64, 0, len(m))
+	for g := range m {
+		out = append(out, g)
 	}
-	cacheEntries := 0
-	router.edge.forEach(func(dev string, e edgeEntry) {
-		cacheEntries++
-		gen, degraded, ok := serve.ScanDecisionMeta(e.body)
-		if !ok || degraded || gen != e.gen {
-			t.Errorf("edge entry %s/%v: body scan (gen=%d degraded=%v ok=%v) disagrees with stamp gen %d", dev, e.shape, gen, degraded, ok, e.gen)
-		}
-		if e.gen != finalGens[e.rep] {
-			t.Errorf("edge entry %s/%v owned by replica %d carries gen %d, owner is at gen %d", dev, e.shape, e.rep, e.gen, finalGens[e.rep])
-		}
-		if reg := router.edge.reg(dev, e.rep); e.gen != reg {
-			t.Errorf("edge entry %s/%v: stamp gen %d vs register %d — a hit would serve a stale body", dev, e.shape, e.gen, reg)
-		}
-	})
-
-	st := inj.Stats()
-	if st.Spikes+st.Errors+st.Cancels == 0 {
-		t.Error("injector fired no faults — chaos run exercised nothing")
-	}
-	t.Logf("seed %d: %d requests (%d router fallbacks); victim %d severed %d conns; injected %d spikes %d errors %d cancels; router: %d retries %d hedges %d hedge-wins %d replica-errors; edge: %d entries %d hits %d invalidations",
-		seed, total, fallbackN, victim, outages[victim].Severed(),
-		st.Spikes, st.Errors, st.Cancels,
-		router.metrics.retries.Load(), router.metrics.hedges.Load(),
-		router.metrics.hedgeWins.Load(), router.metrics.repErrors.Load(),
-		cacheEntries, router.metrics.edgeHits.Load(),
-		router.metrics.edgeInvalidations.Load())
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -15,8 +16,8 @@ import (
 	"kernelselect/internal/sim"
 )
 
-// fleetShapes is the shape mix fleet tests route; spread across several log2
-// buckets so a small fleet still sees multi-shard traffic.
+// fleetShapes is the shape mix fleet tests send, spread across the shape
+// space.
 var fleetShapes = []gemm.Shape{
 	{M: 1, K: 4096, N: 1000}, {M: 16, K: 4096, N: 1000}, {M: 3136, K: 64, N: 64},
 	{M: 784, K: 1152, N: 256}, {M: 196, K: 2304, N: 512}, {M: 12544, K: 27, N: 32},
@@ -31,20 +32,19 @@ func buildFleetLib(t testing.TB, model *sim.Model, n int) *core.Library {
 }
 
 // testFleet is N identical single-device selectd replicas behind one router,
-// plus the router's own local fallback engine built from the same artifact.
+// which serves the artifact it pulled from them.
 type testFleet struct {
 	router *Router
 	rts    *httptest.Server
 	srvs   []*serve.Server
 	reps   []*httptest.Server
-	local  *serve.Server
 	model  *sim.Model
 	lib    *core.Library
 }
 
 // newTestFleet spins up n default-option replicas. wrap, when non-nil, may
 // interpose a middleware on replica i's handler (delays, outages);
-// ropts.Replicas/Local are filled in here.
+// ropts.Replicas is filled in here.
 func newTestFleet(t testing.TB, n int, ropts Options, wrap func(i int, h http.Handler) http.Handler) *testFleet {
 	t.Helper()
 	model := sim.New(device.R9Nano())
@@ -63,45 +63,30 @@ func newTestFleet(t testing.TB, n int, ropts Options, wrap func(i int, h http.Ha
 		f.reps = append(f.reps, ts)
 		replicas[i] = NewReplica(replicaName(i), ts.URL, nil)
 	}
-	f.local = serve.New(lib, model, serve.Options{})
-	ropts.Replicas = replicas
-	ropts.Local = f.local
-	router, err := New(ropts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.router = router
-	f.rts = httptest.NewServer(router.Handler())
-
 	t.Cleanup(func() {
-		f.rts.Close()
-		router.Close()
 		for _, ts := range f.reps {
 			ts.Close()
 		}
 		for _, srv := range f.srvs {
 			srv.Close()
 		}
-		f.local.Close()
+	})
+	ropts.Replicas = replicas
+	router, err := New(context.Background(), ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.router = router
+	f.rts = httptest.NewServer(router.Handler())
+	t.Cleanup(func() {
+		f.rts.Close()
+		router.Close()
 	})
 	return f
 }
 
 func replicaName(i int) string {
 	return "replica-" + string(rune('a'+i))
-}
-
-// shapeWithPrimary finds a fleet shape whose all-up ring primary is the given
-// replica index.
-func shapeWithPrimary(t testing.TB, r *Router, device string, primary int) gemm.Shape {
-	t.Helper()
-	for _, s := range fleetShapes {
-		if r.ring.candidates(device, s)[0] == primary {
-			return s
-		}
-	}
-	t.Fatalf("no fleet shape has primary %d", primary)
-	return gemm.Shape{}
 }
 
 // routerSelect posts one select through the router and decodes the decision.

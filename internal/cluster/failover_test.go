@@ -1,167 +1,145 @@
 package cluster
 
 import (
+	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
-	"time"
+
+	"kernelselect/internal/device"
+	"kernelselect/internal/serve"
+	"kernelselect/internal/sim"
 )
 
-// The router failover table: who answers when replicas die, and how it is
-// accounted. Each case marks a subset of a 3-replica fleet down, sends the
-// same shard's request repeatedly, and checks (a) the answer re-hashes
-// deterministically to the expected survivor, (b) wins are counted exactly
-// once per request, (c) the local fallback is flagged degraded with reason
-// replica_down when every candidate is dark.
-func TestRouterFailoverTable(t *testing.T) {
-	cases := []struct {
-		name string
-		// down replica positions, in this shard's candidate order (0 =
-		// primary, 1 = first successor, ...).
-		down []int
-		// wantWinner is the candidate-order position expected to serve; -1
-		// means the router-local fallback answers.
-		wantWinner   int
-		wantDegraded bool
-	}{
-		{name: "all up: primary serves", down: nil, wantWinner: 0},
-		{name: "primary down: first successor", down: []int{0}, wantWinner: 1},
-		{name: "primary+successor down: second successor", down: []int{0, 1}, wantWinner: 2},
-		{name: "all down: degraded local fallback", down: []int{0, 1, 2}, wantWinner: -1, wantDegraded: true},
+// With the whole fleet dark the router keeps answering every device the
+// replicas serve, from the artifact it pulled and stamped with the
+// replicas' generation: a valid select on the second device gets that
+// device's config, and a select naming no device gets the replicas'
+// default device.
+func TestFleetDownServesEveryDevice(t *testing.T) {
+	var backends []serve.Backend
+	for _, spec := range []device.Spec{device.R9Nano(), device.IntegratedGen9()} {
+		model := sim.New(spec)
+		backends = append(backends, serve.Backend{Device: spec.Name, Lib: buildFleetLib(t, model, 6), Model: model})
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			f := newTestFleet(t, 3, Options{HedgeDelay: -1}, nil)
-			shape := shapeWithPrimary(t, f.router, "", 0)
-			order := f.router.ring.candidates("", shape)
-			for _, pos := range tc.down {
-				f.router.MarkDown(replicaName(order[pos]))
-			}
+	var srvs []*serve.Server
+	var tss []*httptest.Server
+	var replicas []*Replica
+	for i := 0; i < 2; i++ {
+		srv, err := serve.NewMulti(backends, serve.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		srvs, tss = append(srvs, srv), append(tss, ts)
+		replicas = append(replicas, NewReplica(replicaName(i), ts.URL, nil))
+	}
+	router, err := New(context.Background(), Options{Replicas: replicas})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	rts := httptest.NewServer(router.Handler())
+	defer rts.Close()
 
-			const requests = 5
-			for i := 0; i < requests; i++ {
-				status, d := routerSelect(t, f.rts.URL, shape)
-				if status != http.StatusOK {
-					t.Fatalf("request %d: status %d", i, status)
-				}
-				if d.Degraded != tc.wantDegraded {
-					t.Fatalf("request %d: degraded=%v, want %v (%+v)", i, d.Degraded, tc.wantDegraded, d)
-				}
-				if tc.wantDegraded && d.DegradedReason != "replica_down" {
-					t.Fatalf("request %d: degraded reason %q, want replica_down", i, d.DegradedReason)
-				}
-			}
+	for _, ts := range tss {
+		ts.Close()
+	}
+	view := router.ProbeOnce(context.Background())
+	for _, e := range view.Replicas {
+		if e.State != StateDown {
+			t.Fatalf("replica %s %q after its listener closed, want down", e.Name, e.State)
+		}
+	}
 
-			// Accounting: every request counted once, on exactly the winner.
-			var winSum uint64
-			for i := range f.router.metrics.wins {
-				winSum += f.router.metrics.wins[i].Load()
+	for _, sh := range fleetShapes {
+		for _, dev := range []string{"", device.IntegratedGen9().Name} {
+			want, err := srvs[0].Decide(dev, sh)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if tc.wantWinner < 0 {
-				if winSum != 0 {
-					t.Errorf("replica wins %d with the fleet dark, want 0", winSum)
-				}
-				if got := f.router.metrics.fallbacks.Load(); got != requests {
-					t.Errorf("fallbacks %d, want %d", got, requests)
-				}
-			} else {
-				winner := order[tc.wantWinner]
-				if got := f.router.metrics.wins[winner].Load(); got != requests {
-					t.Errorf("winner %s wins %d, want %d", replicaName(winner), got, requests)
-				}
-				if winSum != requests {
-					t.Errorf("total wins %d, want %d (each request counted once)", winSum, requests)
-				}
+			body := fmt.Sprintf(`{"m":%d,"k":%d,"n":%d}`, sh.M, sh.K, sh.N)
+			if dev != "" {
+				body = fmt.Sprintf(`{"m":%d,"k":%d,"n":%d,"device":%q}`, sh.M, sh.K, sh.N, dev)
 			}
-		})
+			status, got := postRaw(t, rts.URL+"/v1/select", body)
+			var d serve.Decision
+			if status != http.StatusOK || json.Unmarshal(got, &d) != nil {
+				t.Fatalf("device %q %v with the fleet dark: status %d, body %s", dev, sh, status, got)
+			}
+			if d != want {
+				t.Fatalf("device %q %v with the fleet dark: router %+v, replica %+v", dev, sh, d, want)
+			}
+		}
 	}
 }
 
-// A slow primary loses to the hedge: the hedged attempt launches after
-// HedgeDelay, wins, and is counted exactly once — one win total, one hedge,
-// one hedge win, one 200.
-func TestHedgedWinnerCountedOnce(t *testing.T) {
-	const primaryDelay = 400 * time.Millisecond
-	var slowIdx = -1
-	f := newTestFleet(t, 2, Options{HedgeDelay: 10 * time.Millisecond, Retries: 2}, func(i int, h http.Handler) http.Handler {
+// A replica that dies owing the router a newer generation is marked down and
+// its pull retried. The router learns of the generation from a peer's gossip,
+// the pull against the dead replica fails and is counted, and selects keep
+// the generation the router has. The next probe marks the replica down; once
+// it answers again, the probe after that marks it up and the pull succeeds.
+func TestDeadReplicaMarkedDownAndRetried(t *testing.T) {
+	var dead atomic.Bool
+	f := newTestFleet(t, 2, Options{}, func(i int, h http.Handler) http.Handler {
+		if i != 1 {
+			return h
+		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if i == slowIdx && strings.HasPrefix(r.URL.Path, "/v1/select") {
-				time.Sleep(primaryDelay)
+			if dead.Load() {
+				panic(http.ErrAbortHandler) // drop the connection, as a crash would
 			}
 			h.ServeHTTP(w, r)
 		})
 	})
-	shape := shapeWithPrimary(t, f.router, "", 0)
-	order := f.router.ring.candidates("", shape)
-	slowIdx = order[0]
+	libB := buildFleetLib(t, f.model, 4)
+	gen, err := f.srvs[1].Reload("", libB, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead.Store(true)
 
-	start := time.Now()
-	status, d := routerSelect(t, f.rts.URL, shape)
-	if status != http.StatusOK || d.Degraded {
-		t.Fatalf("hedged request: status %d degraded=%v", status, d.Degraded)
+	// A peer router saw the reload before the replica died.
+	peer := f.router.View()
+	peer.Router = "peer"
+	peer.Replicas[1].Seq += 10
+	peer.Replicas[1].Generations = map[string]uint64{f.model.Dev.Name: gen}
+	body, _ := json.Marshal(peer)
+	if status, out := postRaw(t, f.rts.URL+"/v1/cluster", string(body)); status != http.StatusOK {
+		t.Fatalf("gossip merge: status %d, body %s", status, out)
 	}
-	if elapsed := time.Since(start); elapsed >= primaryDelay {
-		t.Fatalf("request took %v — hedge did not win over the %v primary delay", elapsed, primaryDelay)
+	if n := f.router.metrics.pullErrors.Load(); n != 1 {
+		t.Fatalf("pull errors %d after gossip named a dead replica's generation, want 1", n)
 	}
+	assertServes(t, f, 1, f.lib)
 
-	m := f.router.metrics
-	if got := m.hedges.Load(); got != 1 {
-		t.Errorf("hedges %d, want 1", got)
+	view := f.router.ProbeOnce(context.Background())
+	if got := view.Replicas[1].State; got != StateDown {
+		t.Fatalf("dead replica state %q after probe, want down", got)
 	}
-	if got := m.hedgeWins.Load(); got != 1 {
-		t.Errorf("hedge wins %d, want 1", got)
-	}
-	if got := m.wins[order[1]].Load(); got != 1 {
-		t.Errorf("hedge target wins %d, want 1", got)
-	}
-	var winSum uint64
-	for i := range m.wins {
-		winSum += m.wins[i].Load()
-	}
-	if winSum != 1 {
-		t.Errorf("total wins %d, want exactly 1 — hedged winners must be counted once", winSum)
-	}
-}
+	assertServes(t, f, 1, f.lib)
 
-// A replica whose listener is gone (connection refused) is marked down by the
-// failed attempt itself, and the retry serves the request from the successor
-// — the client sees one ordinary 200.
-func TestDeadReplicaMarkedDownAndRetried(t *testing.T) {
-	f := newTestFleet(t, 2, Options{HedgeDelay: -1, Retries: 2}, nil)
-	shape := shapeWithPrimary(t, f.router, "", 0)
-	order := f.router.ring.candidates("", shape)
-
-	// Sever the primary's listener.
-	f.reps[order[0]].Close()
-
-	status, d := routerSelect(t, f.rts.URL, shape)
-	if status != http.StatusOK || d.Degraded {
-		t.Fatalf("failover request: status %d degraded=%v (%+v)", status, d.Degraded, d)
+	dead.Store(false)
+	view = f.router.ProbeOnce(context.Background())
+	if got := view.Replicas[1].State; got != StateUp {
+		t.Fatalf("restored replica state %q after probe, want up", got)
 	}
-	if got := f.router.health.state(replicaName(order[0])); got != StateDown {
-		t.Errorf("dead primary state %q, want %q", got, StateDown)
-	}
-	if got := f.router.metrics.wins[order[1]].Load(); got != 1 {
-		t.Errorf("successor wins %d, want 1", got)
-	}
-
-	// Subsequent requests skip the dead primary outright: no more transport
-	// errors accrue.
-	errsBefore := f.router.metrics.repErrors.Load()
-	for i := 0; i < 3; i++ {
-		if status, d := routerSelect(t, f.rts.URL, shape); status != http.StatusOK || d.Degraded {
-			t.Fatalf("re-hashed request %d: status %d degraded=%v", i, status, d.Degraded)
-		}
-	}
-	if got := f.router.metrics.repErrors.Load(); got != errsBefore {
-		t.Errorf("re-hashed requests still hit the dead replica: errors %d → %d", errsBefore, got)
+	assertServes(t, f, gen, libB)
+	if n := f.router.metrics.pullErrors.Load(); n != 1 {
+		t.Errorf("pull errors %d after the retried pull, want still 1", n)
 	}
 }
 
 // An unpriceable request (invalid shape) stays a client error even with the
-// fleet dark — the no-5xx guarantee is scoped to priceable shapes.
+// fleet dark — the no-5xx guarantee is scoped to valid shapes.
 func TestUnpriceableShapeStays400(t *testing.T) {
-	f := newTestFleet(t, 2, Options{HedgeDelay: -1}, nil)
+	f := newTestFleet(t, 2, Options{}, nil)
 	for i := range f.srvs {
 		f.router.MarkDown(replicaName(i))
 	}
@@ -173,5 +151,25 @@ func TestUnpriceableShapeStays400(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid shape: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// New pulls from the first replica whose /healthz answers, and fails when
+// none does.
+func TestNewPullsFromFirstLiveReplica(t *testing.T) {
+	f := newTestFleet(t, 2, Options{}, nil)
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	reps := []*Replica{NewReplica("dead", dead.URL, nil), NewReplica(replicaName(1), f.reps[1].URL, nil)}
+	r, err := New(context.Background(), Options{Replicas: reps})
+	if err != nil {
+		t.Fatalf("New with one live replica: %v", err)
+	}
+	defer r.Close()
+	if gen, _ := r.engine.Generation(""); gen != 1 {
+		t.Errorf("router serves generation %d, the replica 1", gen)
+	}
+	if _, err := New(context.Background(), Options{Replicas: reps[:1]}); err == nil || !strings.Contains(err.Error(), "no replica serves an artifact") {
+		t.Errorf("New with every replica dark: error %v", err)
 	}
 }

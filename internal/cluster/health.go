@@ -2,19 +2,18 @@ package cluster
 
 import (
 	"context"
-	"sort"
 	"sync"
 )
 
 // Replica liveness states as seen by the router's health table.
 const (
-	// StateUp: the replica answers health probes and receives its shards.
+	// StateUp: the replica answers health probes.
 	StateUp = "up"
-	// StateDown: probes or requests fail; its shards re-hash to successors.
+	// StateDown: a probe failed, or a rolling reload of it (or the pull
+	// after it) did.
 	StateDown = "down"
-	// StateWarming: the replica is mid-reload; it is held out of rotation
-	// until cutover even though its listener answers, so no request lands on
-	// it while its generation swaps.
+	// StateWarming: the router is reloading the replica; probes leave it
+	// alone until the reload and the router's pull of it finish.
 	StateWarming = "warming"
 )
 
@@ -46,15 +45,15 @@ type healthTable struct {
 
 	// onGens, when set (before any concurrent use), fires after every local
 	// observation or adopted merge that carries per-device generations — the
-	// edge cache's invalidation feed. Called outside the table lock.
+	// router's catch-up feed. Called outside the table lock.
 	onGens func(name string, gens map[string]uint64)
 }
 
 func newHealthTable(names []string) *healthTable {
 	t := &healthTable{order: append([]string(nil), names...), entries: make(map[string]*ReplicaHealth, len(names))}
 	for _, n := range names {
-		// Replicas start optimistically up: the router routes immediately and
-		// the first failed request or probe demotes a dead one.
+		// Replicas start optimistically up: the first failed probe demotes
+		// a dead one.
 		t.entries[n] = &ReplicaHealth{Name: n, State: StateUp}
 	}
 	return t
@@ -137,7 +136,7 @@ func (t *healthTable) merge(v View) (adopted int) {
 	return adopted
 }
 
-// upCount reports replicas currently routable.
+// upCount reports replicas currently up.
 func (t *healthTable) upCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -151,11 +150,12 @@ func (t *healthTable) upCount() int {
 }
 
 // ProbeOnce health-probes every replica once, concurrently, and folds the
-// results into the view: an answering replica is marked up with its per-device
-// generations, a failing one down with the error. Replicas the router is
-// actively reloading are left alone — their listener answers probes, but they
-// stay out of rotation until cutover. Deterministic tests and the chaos
-// harness call this directly; production runs it on ProbeInterval.
+// results into the view: an answering replica is marked up with its
+// per-device generations (and the router pulls any that is newer than what
+// it serves), a failing one down with the error. Replicas the router is
+// actively reloading are left alone until cutover. Deterministic tests and
+// the chaos harness call this directly; production runs it on
+// ProbeInterval.
 func (r *Router) ProbeOnce(ctx context.Context) View {
 	var wg sync.WaitGroup
 	for _, rep := range r.replicas {
@@ -176,15 +176,4 @@ func (r *Router) ProbeOnce(ctx context.Context) View {
 	}
 	wg.Wait()
 	return r.health.snapshot(r.name)
-}
-
-// sortedDevices lists a generations map's keys in stable order (probe
-// plumbing and tests).
-func sortedDevices(gens map[string]uint64) []string {
-	out := make([]string, 0, len(gens))
-	for d := range gens {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -49,14 +49,14 @@ func TestHealthMergeSeqWins(t *testing.T) {
 // Two routers over the same fleet converge through POST /v1/cluster: A's
 // fresher down observation reaches B and B's view flips.
 func TestClusterGossipConverges(t *testing.T) {
-	f := newTestFleet(t, 2, Options{Name: "router-a", HedgeDelay: -1}, nil)
+	f := newTestFleet(t, 2, Options{Name: "router-a"}, nil)
 
 	// Second router over the same replicas.
 	reps := make([]*Replica, len(f.reps))
 	for i, ts := range f.reps {
 		reps[i] = NewReplica(replicaName(i), ts.URL, nil)
 	}
-	b, err := New(Options{Name: "router-b", Replicas: reps, Local: f.local, HedgeDelay: -1})
+	b, err := New(context.Background(), Options{Name: "router-b", Replicas: reps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestClusterGossipConverges(t *testing.T) {
 // ProbeOnce recovers a wrongly-down replica (it answers healthz) and demotes
 // a dead one, folding per-device generations into the view.
 func TestProbeOnceReconverges(t *testing.T) {
-	f := newTestFleet(t, 2, Options{HedgeDelay: -1}, nil)
+	f := newTestFleet(t, 2, Options{}, nil)
 
 	// Falsely down: a probe round brings it back.
 	f.router.MarkDown("replica-a")

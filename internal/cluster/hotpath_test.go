@@ -10,8 +10,7 @@ import (
 
 // reuseWriter is a ResponseWriter with no per-request allocations of its own,
 // so AllocsPerRun isolates the router handler's allocations (mirrors serve's
-// hot-path harness — the two packages pin the same guarantee on their own
-// tiers).
+// hot-path harness).
 type reuseWriter struct {
 	h    http.Header
 	code int
@@ -34,10 +33,13 @@ func (w *reuseWriter) reset() {
 	w.buf = w.buf[:0]
 }
 
-// routerRunner drives the router's /v1/select handler with a reusable request
-// and writer — the proxy hot path minus the TCP socket.
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// routerRunner drives the router's full handler with a reusable /v1/select
+// request and writer — the select path minus the TCP socket.
 type routerRunner struct {
-	handler http.HandlerFunc
+	handler http.Handler
 	w       *reuseWriter
 	r       *http.Request
 	body    *bytes.Reader
@@ -50,7 +52,7 @@ func newRouterRunner(r *Router, payload []byte) *routerRunner {
 	req.Body = io.NopCloser(br)
 	req.ContentLength = int64(len(payload))
 	return &routerRunner{
-		handler: r.handleSelect,
+		handler: r.Handler(),
 		w:       newReuseWriter(),
 		r:       req,
 		body:    br,
@@ -61,49 +63,27 @@ func newRouterRunner(r *Router, payload []byte) *routerRunner {
 func (rr *routerRunner) run() {
 	rr.body.Reset(rr.payload)
 	rr.w.reset()
-	rr.handler(rr.w, rr.r)
+	rr.handler.ServeHTTP(rr.w, rr.r)
 }
 
-// hotPayload is a fleetShapes member in canonical wire form, so the fast
-// scanner handles it and the edge cache key is exercised end to end.
-var hotPayload = []byte(`{"m":784,"k":1152,"n":256}`)
-
-// TestRouterCacheHitAllocations pins the tentpole guarantee at the router
-// tier: once a (device, shape) is cached at the edge, a /v1/select repeat is
-// answered without touching the heap — body read, fast parse, cache lookup,
-// pre-rendered write, metrics, all allocation-free. A regression here is a
-// performance bug even though no behaviour changes, so it fails the build.
-func TestRouterCacheHitAllocations(t *testing.T) {
-	f := newTestFleet(t, 1, Options{HedgeDelay: -1, EdgeCacheSize: 1024}, nil)
-	rr := newRouterRunner(f.router, hotPayload)
-
-	rr.run() // miss: routed upstream, fills the edge cache
-	if rr.w.code != http.StatusOK {
-		t.Fatalf("warm request: status %d, body %s", rr.w.code, rr.w.buf)
+// TestRouterSelectAllocations pins the router's select path at zero heap
+// allocations: mux dispatch, body read, fast parse, the compiled selector
+// over the pulled artifact, append encoding and metrics. It answers exactly
+// what a replica answers. A regression here is a performance bug even though
+// no behaviour changes, so it fails the build.
+func TestRouterSelectAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled buffers at random")
 	}
-	warmBody := append([]byte(nil), rr.w.buf...)
+	f := newTestFleet(t, 1, Options{}, nil)
+	payload := []byte(`{"m":784,"k":1152,"n":256}`)
+	rr := newRouterRunner(f.router, payload)
 	rr.run()
-	if rr.w.code != http.StatusOK || !bytes.Equal(rr.w.buf, warmBody) {
-		t.Fatalf("second request not the cached body: status %d, %q vs %q", rr.w.code, rr.w.buf, warmBody)
-	}
-	if hits := f.router.metrics.edgeHits.Load(); hits == 0 {
-		t.Fatal("second request did not count as an edge hit")
+	status, want := postRaw(t, f.reps[0].URL+"/v1/select", string(payload))
+	if rr.w.code != http.StatusOK || status != http.StatusOK || !bytes.Equal(rr.w.buf, want) {
+		t.Fatalf("router answers %d %s, replica %d %s", rr.w.code, rr.w.buf, status, want)
 	}
 	if allocs := testing.AllocsPerRun(500, rr.run); allocs != 0 {
-		t.Errorf("cache-hit select allocates %.1f objects per request, want 0", allocs)
-	}
-}
-
-func BenchmarkRouterCacheHit(b *testing.B) {
-	f := newTestFleet(b, 1, Options{HedgeDelay: -1, EdgeCacheSize: 1024}, nil)
-	rr := newRouterRunner(f.router, hotPayload)
-	rr.run() // warm the edge cache
-	if rr.w.code != http.StatusOK {
-		b.Fatalf("warm request failed: %d", rr.w.code)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rr.run()
+		t.Errorf("router select allocates %.1f objects per request, want 0", allocs)
 	}
 }

@@ -8,52 +8,33 @@ import (
 	"sync/atomic"
 )
 
-// routerMetrics is the router's dependency-free Prometheus-text registry.
-// Fixed counters are plain atomics; the per-endpoint-per-code request
-// counters live in a sync.Map keyed "endpoint|code" (read-mostly after the
-// first request of each kind). The hot path pre-resolves its counter once via
-// counter() so a cache hit costs one atomic add, not a map lookup and a
-// formatted key.
+// routerMetrics is the router's dependency-free Prometheus-text registry for
+// its control plane; selects and batches are counted by the engine. Fixed
+// counters are plain atomics; the per-endpoint-per-code request counters live
+// in a sync.Map keyed "endpoint|code".
 type routerMetrics struct {
 	requests sync.Map // "endpoint|code" -> *atomic.Uint64
 
-	retries   atomic.Uint64 // sequential failover attempts beyond the first
-	hedges    atomic.Uint64 // hedged attempts launched
-	hedgeWins atomic.Uint64 // requests won by the hedge, counted once
-	fallbacks atomic.Uint64 // router-local degraded answers (replica_down)
-	probes    atomic.Uint64 // health probes issued
-	merges    atomic.Uint64 // gossip entries adopted from peers
-	reloads   atomic.Uint64 // replica reloads orchestrated
-	repErrors atomic.Uint64 // failed replica calls: transport errors, and batch 429/5xx
+	probes     atomic.Uint64 // health probes issued
+	merges     atomic.Uint64 // gossip entries adopted from peers
+	reloads    atomic.Uint64 // replica reloads orchestrated
+	pullErrors atomic.Uint64 // artifact pulls that failed or could not be adopted
 
-	// Edge cache traffic.
-	edgeHits          atomic.Uint64
-	edgeMisses        atomic.Uint64
-	edgeInvalidations atomic.Uint64
-
-	// wins counts, per replica, responses actually returned to a client —
-	// a hedged request increments exactly one replica's counter.
-	wins []atomic.Uint64
 	reps []string
 }
 
 func newRouterMetrics(replicas []string) *routerMetrics {
-	return &routerMetrics{wins: make([]atomic.Uint64, len(replicas)), reps: append([]string(nil), replicas...)}
+	return &routerMetrics{reps: append([]string(nil), replicas...)}
 }
 
-// counter resolves (creating on first use) the request counter for one
-// endpoint/code pair, so hot paths can hold the *atomic.Uint64 directly.
-func (m *routerMetrics) counter(endpoint string, code int) *atomic.Uint64 {
+// request counts one response of a control endpoint.
+func (m *routerMetrics) request(endpoint string, code int) {
 	key := fmt.Sprintf("%s|%d", endpoint, code)
 	c, ok := m.requests.Load(key)
 	if !ok {
 		c, _ = m.requests.LoadOrStore(key, &atomic.Uint64{})
 	}
-	return c.(*atomic.Uint64)
-}
-
-func (m *routerMetrics) request(endpoint string, code int) {
-	m.counter(endpoint, code).Add(1)
+	c.(*atomic.Uint64).Add(1)
 }
 
 // render emits the router series; upFn supplies the health gauge per replica.
@@ -78,22 +59,11 @@ func (m *routerMetrics) render(upFn func(name string) float64) string {
 	counter := func(name string, v uint64) {
 		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", name, name, v)
 	}
-	counter("router_retries_total", m.retries.Load())
-	counter("router_hedges_total", m.hedges.Load())
-	counter("router_hedge_wins_total", m.hedgeWins.Load())
-	counter("router_fallback_total", m.fallbacks.Load())
 	counter("router_probes_total", m.probes.Load())
 	counter("router_gossip_merges_total", m.merges.Load())
 	counter("router_reloads_total", m.reloads.Load())
-	counter("router_replica_errors_total", m.repErrors.Load())
-	counter("router_edge_cache_hits_total", m.edgeHits.Load())
-	counter("router_edge_cache_misses_total", m.edgeMisses.Load())
-	counter("router_edge_cache_invalidations_total", m.edgeInvalidations.Load())
+	counter("router_replica_errors_total", m.pullErrors.Load())
 
-	b.WriteString("# TYPE router_replica_wins_total counter\n")
-	for i, name := range m.reps {
-		fmt.Fprintf(&b, "router_replica_wins_total{replica=%q} %d\n", name, m.wins[i].Load())
-	}
 	b.WriteString("# TYPE router_replica_up gauge\n")
 	for _, name := range m.reps {
 		fmt.Fprintf(&b, "router_replica_up{replica=%q} %g\n", name, upFn(name))

@@ -1,22 +1,19 @@
 package cluster
 
 import (
-	"encoding/json"
 	"math"
 	"math/big"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
-
-	"kernelselect/internal/gemm"
 )
 
 // TestParseRetryAfter pins RFC 9110 Retry-After semantics: both delay-seconds
 // and HTTP-date forms parse, measured against a fixed clock; zero, the past,
-// signs and garbage are rejected so the router falls back to its default
-// backoff, and a delay too long for a Duration saturates instead of wrapping
-// into the past.
+// signs and garbage are rejected so a caller falls back to its default, and
+// a delay too long for a Duration saturates instead of wrapping into the
+// past.
 func TestParseRetryAfter(t *testing.T) {
 	now := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
 	cases := []struct {
@@ -135,33 +132,4 @@ func FuzzParseRetryAfter(f *testing.F) {
 			t.Fatalf("parseRetryAfter(%q) = %v, want the date's distance %v", v, d, want)
 		}
 	})
-}
-
-// The pooled append-encoders must stay byte-identical to encoding/json — the
-// replicas parse these bodies with strict decoders, and "fast" must never
-// mean "different".
-func TestAppendWireBodiesMatchStdlib(t *testing.T) {
-	shapes := []gemm.Shape{{M: 784, K: 1152, N: 256}, {M: 1, K: 4096, N: 1000}, {M: 100352, K: 3, N: 64}}
-	for _, device := range []string{"", "r9nano", "gfx803-es2"} {
-		for _, s := range shapes {
-			want, _ := json.Marshal(selectShape{M: s.M, K: s.K, N: s.N, Device: device})
-			if got := appendSelectBody(nil, device, s); string(got) != string(want) {
-				t.Errorf("appendSelectBody(%q, %v) = %s, want %s", device, s, got, want)
-			}
-		}
-		wire := batchWire{Device: device, Shapes: make([]selectShape, len(shapes))}
-		for i, s := range shapes {
-			wire.Shapes[i] = selectShape{M: s.M, K: s.K, N: s.N}
-		}
-		want, _ := json.Marshal(wire)
-		if got := appendBatchBody(nil, device, shapes); string(got) != string(want) {
-			t.Errorf("appendBatchBody(%q) = %s, want %s", device, got, want)
-		}
-	}
-	if plainJSONString("naïve") || plainJSONString(`quo"te`) || plainJSONString("html<>&") {
-		t.Error("plainJSONString admitted a string the HTML-safe encoder would escape")
-	}
-	if !plainJSONString("r9nano") || !plainJSONString("") {
-		t.Error("plainJSONString rejected a plain device name")
-	}
 }

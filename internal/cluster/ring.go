@@ -1,10 +1,3 @@
-// Package cluster shards a fleet of selectd replicas behind a consistent-hash
-// router. Requests are keyed on (device, shape-bucket) so each replica owns a
-// stable slice of the shape universe; replica failure re-hashes the shard's
-// traffic onto ring successors, and the router itself
-// carries a local decision engine so a priceable shape is never answered with
-// a 5xx even with every replica down — it degrades to the router-local
-// fallback instead.
 package cluster
 
 import (
@@ -17,7 +10,7 @@ import (
 
 // bucketOf quantizes a shape to its log2 bucket triple. Quantizing before
 // hashing keeps the keyspace small and stable, so similar shapes land on the
-// same replica and a shard's edge-cache entries stay with one owner.
+// same replica.
 func bucketOf(shape gemm.Shape) (mb, kb, nb uint64) {
 	return uint64(bits.Len(uint(shape.M))), uint64(bits.Len(uint(shape.K))), uint64(bits.Len(uint(shape.N)))
 }
@@ -51,10 +44,14 @@ type ringPoint struct {
 }
 
 // ring is a consistent-hash ring over replica indices with vnodes virtual
-// nodes per replica. It is immutable after construction — liveness is the
-// router's concern (candidates returns the full deterministic preference
-// order; the router skips entries its health view marks down, which is
-// exactly "re-hash onto the successor" without rebuilding anything).
+// nodes per replica. It is immutable after construction: candidates returns
+// the full deterministic preference order, and a caller that skips the
+// entries its health view marks down re-hashes onto the successor without
+// rebuilding anything.
+//
+// Nothing calls the ring: the router answers every select from the artifact
+// it pulled. It stays, with its tests, until a later change retires both
+// (ROADMAP item 2).
 type ring struct {
 	points []ringPoint
 	n      int

@@ -44,7 +44,7 @@ func TestRingDeterministicPermutation(t *testing.T) {
 }
 
 // Shapes in the same log2 bucket share a shard: their candidate orders are
-// identical, so one replica's cache serves the whole bucket.
+// identical, so one replica owns the whole bucket.
 func TestRingBucketStability(t *testing.T) {
 	r := newRing(4, 0)
 	pairs := [][2]gemm.Shape{

@@ -82,6 +82,64 @@ func decodeStrict(body []byte, v any) error {
 	return nil
 }
 
+// parseSelect parses a POST /v1/select body: the allocation-free scan of the
+// canonical form, else the strict decoder (unknown fields, trailing data and
+// type mismatches are errors), then shape validation. The device is returned
+// unresolved; it aliases body on the fast path and must be consumed before
+// the buffer is reused. A well-formed canonical body allocates nothing.
+func parseSelect(body []byte) (shape gemm.Shape, device []byte, err error) {
+	if p, ok := parseSelectBody(body); ok {
+		shape, device = gemm.Shape{M: p.m, K: p.k, N: p.n}, p.device
+	} else {
+		var req shapeRequest
+		if err := decodeStrict(body, &req); err != nil {
+			return gemm.Shape{}, nil, err
+		}
+		shape, device = gemm.Shape{M: req.M, K: req.K, N: req.N}, []byte(req.Device)
+	}
+	if err := shape.Validate(); err != nil {
+		return gemm.Shape{}, nil, err
+	}
+	return shape, device, nil
+}
+
+// parseBatch parses a POST /v1/select/batch body: the strict decoder, then
+// the batch size (1 to MaxBatch shapes), then every shape. The device is
+// returned unresolved.
+func parseBatch(body []byte) (device string, shapes []gemm.Shape, err error) {
+	var req batchRequest
+	if err := decodeStrict(body, &req); err != nil {
+		return "", nil, err
+	}
+	switch n := len(req.Shapes); {
+	case n == 0:
+		return "", nil, errors.New("batch has no shapes")
+	case n > MaxBatch:
+		return "", nil, fmt.Errorf("batch of %d shapes exceeds limit %d", n, MaxBatch)
+	}
+	shapes = make([]gemm.Shape, len(req.Shapes))
+	for i, sr := range req.Shapes {
+		shapes[i] = gemm.Shape{M: sr.M, K: sr.K, N: sr.N}
+		if err := shapes[i].Validate(); err != nil {
+			return "", nil, fmt.Errorf("shape %d: %v", i, err)
+		}
+	}
+	return req.Device, shapes, nil
+}
+
+// requestError maps a body read, parseSelect or parseBatch error to the
+// status and newline-terminated JSON error body selectd answers it with: 413
+// when the body blew the size cap, 400 for everything else.
+func requestError(err error) (status int, body []byte) {
+	status, msg := http.StatusBadRequest, err.Error()
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status, msg = http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)
+	}
+	body, _ = json.Marshal(errorResponse{Error: msg})
+	return status, append(body, '\n')
+}
+
 // parsedSelect is the fast scanner's output; device aliases the body buffer
 // and must be consumed before the buffer is reused.
 type parsedSelect struct {
@@ -244,7 +302,7 @@ func appendJSONString(b []byte, s string) []byte {
 }
 
 // appendDecision appends one Decision exactly as encoding/json renders it:
-// same field order, same omitempty behaviour, same string escaping.
+// same field order, same string escaping.
 func appendDecision(b []byte, d *Decision) []byte {
 	b = appendDecisionHead(b, d)
 	b = appendJSONString(b, d.Shape)
@@ -284,13 +342,6 @@ func appendDecisionTail(b []byte, d *Decision) []byte {
 	b = appendJSONString(b, d.KernelID)
 	b = append(b, `,"generation":`...)
 	b = strconv.AppendUint(b, d.Generation, 10)
-	if d.Degraded {
-		b = append(b, `,"degraded":true`...)
-	}
-	if d.DegradedReason != "" {
-		b = append(b, `,"degraded_reason":`...)
-		b = appendJSONString(b, d.DegradedReason)
-	}
 	return append(b, '}')
 }
 

@@ -24,7 +24,7 @@ func TestAppendDecisionMatchesStdlib(t *testing.T) {
 		}, gemm.Shape{M: 784, K: 1152, N: 256}},
 		{Decision{
 			Device: "intel-gen9", Config: "c", Index: 0,
-			KernelID: "k", Degraded: true, DegradedReason: "budget", Generation: 1,
+			KernelID: "k", Generation: 1,
 		}, gemm.Shape{M: 1, K: 1, N: 1}},
 		{Decision{Device: `quo"te\dev`, Config: "ünïcode", KernelID: "<&>"}, gemm.Shape{M: 100352, K: 3, N: 64}},
 	}
@@ -103,7 +103,7 @@ func TestAppendBatchMatchesStdlib(t *testing.T) {
 	results := []Decision{
 		{Device: "a", Shape: "1x2x3", Config: "c0", KernelID: "k0"},
 		{Device: "a", Shape: "4x5x6", Config: "c1", Index: 1, KernelID: "k1", Generation: 2},
-		{Device: "a", Shape: "7x8x9", Config: "c2", Degraded: true, DegradedReason: "budget"},
+		{Device: "a", Shape: "7x8x9", Config: "c2"},
 	}
 	want, err := json.Marshal(batchResponse{Results: results})
 	if err != nil {

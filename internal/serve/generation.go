@@ -58,12 +58,12 @@ type generation struct {
 	infoLine    string
 }
 
-// newGeneration allocates the next epoch for a device. The compiled chooser,
-// config strings and /v1/configs body are computed here — once per reload,
-// never per request — so the hot path does no per-request setup work.
-func (s *Server) newGeneration(device string, lib *core.Library, model *sim.Model) *generation {
+// newGeneration builds epoch id for a device. The compiled chooser, config
+// strings and /v1/configs body are computed here — once per reload, never
+// per request — so the hot path does no per-request setup work.
+func (s *Server) newGeneration(id uint64, device string, lib *core.Library, model *sim.Model) *generation {
 	g := &generation{
-		id:        s.genCounter.Add(1),
+		id:        id,
 		device:    device,
 		lib:       lib,
 		model:     model,
@@ -173,18 +173,69 @@ func (s *Server) Reload(device string, lib *core.Library, model *sim.Model) (uin
 	if err != nil {
 		return 0, err
 	}
-	if lib == nil {
-		return 0, errors.New("serve: reload with a nil library")
-	}
 	cur := be.gen.Load()
 	if model == nil {
 		model = cur.model
 	}
-	// A backend's dispatch kind is fixed at construction: swapping a unified
-	// backend onto a shape-only library (or the reverse) would silently change
-	// what the selector consumes. This is exactly what a shadow retrain would
-	// do if its shape-trained candidate reached a unified backend — the error
-	// surfaces in the RetrainEvent instead of being served.
+	if err := checkSwap(be.name, cur, lib, model); err != nil {
+		return 0, err
+	}
+	gen := s.newGeneration(s.genCounter.Add(1), be.name, lib, model)
+	be.gen.Store(gen)
+	return gen.id, nil
+}
+
+// Adopt swaps the named backend (empty = default) onto lib stamped with
+// generation gen — the id another process serves that artifact under — so
+// a tier serving a replica's artifact answers exactly as the replica does.
+// It runs Reload's checks and keeps the current device model. Adopting the
+// current generation is a no-op and an older one is refused, so generations
+// never go backwards for a client; later Reloads number past gen.
+func (s *Server) Adopt(device string, lib *core.Library, gen uint64) error {
+	be, err := s.backend(device)
+	if err != nil {
+		return err
+	}
+	cur := be.gen.Load()
+	if gen <= cur.id {
+		return notAhead(be.name, gen, cur.id)
+	}
+	if err := checkSwap(be.name, cur, lib, cur.model); err != nil {
+		return err
+	}
+	next := s.newGeneration(gen, be.name, lib, cur.model)
+	for !be.gen.CompareAndSwap(cur, next) {
+		if cur = be.gen.Load(); gen <= cur.id {
+			return notAhead(be.name, gen, cur.id)
+		}
+	}
+	for {
+		c := s.genCounter.Load()
+		if c >= gen || s.genCounter.CompareAndSwap(c, gen) {
+			return nil
+		}
+	}
+}
+
+// notAhead is Adopt's answer for a generation that is not ahead of the
+// served one: nothing to do when it is the same, an error when it is older.
+func notAhead(device string, gen, served uint64) error {
+	if gen == served {
+		return nil
+	}
+	return fmt.Errorf("serve: adopt for %q: generation %d is behind the served generation %d", device, gen, served)
+}
+
+// checkSwap refuses a library a backend cannot serve. A backend's dispatch
+// kind is fixed at construction: swapping a unified backend onto a
+// shape-only library (or the reverse) would silently change what the
+// selector consumes. This is exactly what a shadow retrain would do if its
+// shape-trained candidate reached a unified backend — the error surfaces in
+// the RetrainEvent instead of being served.
+func checkSwap(device string, cur *generation, lib *core.Library, model *sim.Model) error {
+	if lib == nil {
+		return errors.New("serve: reload with a nil library")
+	}
 	if lib.Unified() != cur.lib.Unified() {
 		kind := func(u bool) string {
 			if u {
@@ -192,15 +243,13 @@ func (s *Server) Reload(device string, lib *core.Library, model *sim.Model) (uin
 			}
 			return "shape-only"
 		}
-		return 0, fmt.Errorf("serve: reload for %q: new library is %s but the backend serves a %s library",
-			be.name, kind(lib.Unified()), kind(cur.lib.Unified()))
+		return fmt.Errorf("serve: reload for %q: new library is %s but the backend serves a %s library",
+			device, kind(lib.Unified()), kind(cur.lib.Unified()))
 	}
 	if lib.Unified() {
 		if _, err := lib.UnifiedChooser(model.Dev.Features()); err != nil {
-			return 0, fmt.Errorf("serve: reload for %q: %v", be.name, err)
+			return fmt.Errorf("serve: reload for %q: %v", device, err)
 		}
 	}
-	gen := s.newGeneration(be.name, lib, model)
-	be.gen.Store(gen)
-	return gen.id, nil
+	return nil
 }

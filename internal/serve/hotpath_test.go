@@ -77,7 +77,7 @@ var raceEnabled bool
 // request allocates nothing in the handler, whether its shape was asked
 // before (repeated) or never (fresh), with the closed loop off and with every
 // decision sampled for regret and appended to the drift window.
-// Engine.Decide allocates no more than the decision's shape string costs. A
+// Decide allocates no more than the decision's shape string costs. A
 // regression is a performance bug even though no behaviour changes, so it
 // fails the build.
 func TestSelectAllocations(t *testing.T) {
@@ -113,7 +113,7 @@ func TestSelectAllocations(t *testing.T) {
 					t.Errorf("select on a repeated shape allocates %.1f objects per request, want 0", allocs)
 				}
 				decide := func() {
-					if d, err := srv.Decide("", shape); err != nil || d.Degraded {
+					if d, err := srv.Decide("", shape); err != nil {
 						t.Fatalf("Decide: %+v, %v", d, err)
 					}
 				}
@@ -142,7 +142,7 @@ func TestSelectAllocations(t *testing.T) {
 				}
 				decide := func() {
 					m++
-					if d, err := srv.Decide("", gemm.Shape{M: m, K: 64, N: 64}); err != nil || d.Degraded {
+					if d, err := srv.Decide("", gemm.Shape{M: m, K: 64, N: 64}); err != nil {
 						t.Fatalf("Decide: %+v, %v", d, err)
 					}
 				}

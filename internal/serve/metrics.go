@@ -88,15 +88,6 @@ func (h *valueHistogram) snapshot() histSnapshot {
 	return s
 }
 
-// mean reports the average observed value (0 when empty).
-func (h *valueHistogram) mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load()) / float64(n)
-}
-
 type histSnapshot struct {
 	buckets []uint64
 	count   uint64

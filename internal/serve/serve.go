@@ -17,7 +17,10 @@
 //
 //   - atomic hot reload: each backend's library and model form an immutable
 //     generation behind an atomic pointer, swappable via Reload or
-//     POST /v1/reload without dropping in-flight requests;
+//     POST /v1/reload without dropping in-flight requests; GET /v1/library
+//     serves the current artifact and its generation, and Adopt swaps one in
+//     under the generation another process serves it with, so a cluster
+//     router answers exactly as its replicas do;
 //   - per-endpoint request counters and latency histograms plus per-device
 //     decision and closed-loop series, exposed at GET /metrics in Prometheus
 //     text format;
@@ -32,12 +35,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -224,7 +229,7 @@ func NewMulti(backends []Backend, opts Options) (*Server, error) {
 		}
 		mix := mixOf(opts.TrainShapes)
 		be.driftRef.Store(&mix)
-		be.gen.Store(s.newGeneration(b.Device, b.Lib, b.Model))
+		be.gen.Store(s.newGeneration(s.genCounter.Add(1), b.Device, b.Lib, b.Model))
 		s.backends = append(s.backends, be)
 		s.byName[b.Device] = be
 	}
@@ -316,19 +321,16 @@ func (s *Server) backend(name string) (*backend, error) {
 }
 
 // Decision is one answer: the chosen configuration for a shape. Generation
-// identifies the library epoch that produced it. selectd always answers with
-// its selector's choice; Degraded and DegradedReason are set only by a tier
-// in front of it that answers without a replica (the cluster router's
-// "replica_down" fallback).
+// identifies the library epoch that produced it. Every answer, from selectd
+// or from a cluster router serving the same artifact, is the selector's
+// choice for that generation.
 type Decision struct {
-	Device         string `json:"device"`
-	Shape          string `json:"shape"`
-	Config         string `json:"config"`
-	Index          int    `json:"index"`
-	KernelID       string `json:"kernel_id"`
-	Generation     uint64 `json:"generation"`
-	Degraded       bool   `json:"degraded,omitempty"`
-	DegradedReason string `json:"degraded_reason,omitempty"`
+	Device     string `json:"device"`
+	Shape      string `json:"shape"`
+	Config     string `json:"config"`
+	Index      int    `json:"index"`
+	KernelID   string `json:"kernel_id"`
+	Generation uint64 `json:"generation"`
 }
 
 // selection answers one shape against gen and feeds the closed loop. It is
@@ -346,6 +348,24 @@ func (s *Server) selection(be *backend, gen *generation, shape gemm.Shape) Decis
 		KernelID:   gen.kernelIDs[idx],
 		Generation: gen.id,
 	}
+}
+
+// Decide answers one shape on one device backend (empty device selects the
+// default) over the same decision path POST /v1/select takes, for callers
+// that ask in-process with no listener. It fails only for an unknown device
+// or an invalid shape, and allocates only the decision's shape string, which
+// the HTTP handler renders straight into its response instead.
+func (s *Server) Decide(device string, shape gemm.Shape) (Decision, error) {
+	be, err := s.backend(device)
+	if err != nil {
+		return Decision{}, err
+	}
+	if err := shape.Validate(); err != nil {
+		return Decision{}, err
+	}
+	d := s.selection(be, be.gen.Load(), shape)
+	d.Shape = shape.String()
+	return d, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -433,6 +453,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/reload", s.instrument("reload", s.handleReload))
 	mux.HandleFunc("GET /v1/configs", s.instrument("configs", s.handleConfigs))
 	mux.HandleFunc("GET /v1/devices", s.instrument("devices", s.handleDevices))
+	mux.HandleFunc("GET /v1/library", s.instrument("library", s.handleLibrary))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
@@ -481,15 +502,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // replacement promptly.
 const retryAfterSeconds = "1"
 
-// writeBodyError answers a body read or parse failure as RequestError maps
+// writeBodyError answers a body read or parse failure as requestError maps
 // it.
 func writeBodyError(w http.ResponseWriter, err error) {
-	code, body := RequestError(err)
+	code, body := requestError(err)
 	writeRawJSON(w, code, body)
 }
 
 // handleSelect is the hot path. A well-formed body runs allocation-free:
-// pooled body buffer, ParseSelect's hand-rolled scan, map-keyed backend
+// pooled body buffer, parseSelect's hand-rolled scan, map-keyed backend
 // lookup, the compiled selector, append encoding into the same pooled buffer.
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	bp := bufPool.Get().(*[]byte)
@@ -503,7 +524,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	var shape gemm.Shape
 	var device []byte // aliases body; consumed before buf is reused
 	if err == nil {
-		shape, device, err = ParseSelect(body)
+		shape, device, err = parseSelect(body)
 	}
 	if err != nil {
 		writeBodyError(w, err)
@@ -540,7 +561,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var device string
 	var shapes []gemm.Shape
 	if err == nil {
-		device, shapes, err = ParseBatch(body)
+		device, shapes, err = parseBatch(body)
 	}
 	if err != nil {
 		writeBodyError(w, err)
@@ -582,9 +603,12 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	// Single-flight: overlapping reload requests for the same backend
 	// coalesce onto one leader. Without this, N concurrent POSTs race to
-	// build N generations, N−1 of which are displaced immediately — wasted
-	// pricing work plus a cache wipe per extra build. Overlapping operator
-	// calls and redundant deploy hooks make this race routine.
+	// build N generations, N−1 of which are displaced immediately. Each
+	// extra build re-reads the artifact — or, for a device served without
+	// -library, retrains it in process, pricing the whole dataset — and
+	// compiles and verifies its chooser, and each one burns a generation id.
+	// Overlapping operator calls and redundant deploy hooks make this race
+	// routine.
 	call, leader := be.joinReload()
 	if leader {
 		func() {
@@ -626,6 +650,35 @@ func (s *Server) handleConfigs(w http.ResponseWriter, r *http.Request) {
 	}
 	// The body is immutable per generation and prerendered at reload time.
 	writeRawJSON(w, http.StatusOK, be.gen.Load().configsJSON)
+}
+
+// GenerationHeader carries the generation of the artifact a GET /v1/library
+// body holds.
+const GenerationHeader = "X-Generation"
+
+// handleLibrary serves a backend's current artifact (?device=, empty = the
+// default backend) exactly as selectd -save writes it, so the body is itself
+// a deployable -library file; a unified backend serves its unified artifact.
+// Body and GenerationHeader come from one generation, so a reload racing the
+// request can never pair one generation's id with another's artifact.
+func (s *Server) handleLibrary(w http.ResponseWriter, r *http.Request) {
+	be, err := s.backend(r.URL.Query().Get("device"))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		return
+	}
+	gen := be.gen.Load()
+	tag := be.name
+	if gen.lib.Unified() {
+		tag = "" // a unified artifact serves any device, as SaveUnifiedLibrary writes it
+	}
+	var b bytes.Buffer
+	if err := core.SaveLibraryForDevice(&b, gen.lib, tag); err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		return
+	}
+	w.Header().Set(GenerationHeader, strconv.FormatUint(gen.id, 10))
+	writeRawJSON(w, http.StatusOK, b.Bytes())
 }
 
 func (s *Server) handleDevices(w http.ResponseWriter, _ *http.Request) {

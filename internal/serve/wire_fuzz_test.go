@@ -9,13 +9,12 @@ import (
 	"kernelselect/internal/gemm"
 )
 
-// The router trusts two hand-rolled scanners on bytes it did not produce:
-// ParseSelectWire reads client select bodies, and ScanDecisionMeta reads the
-// generation and degraded flag off replica answers before edge-caching them.
-// Each may refuse anything it does not fully understand, but whatever it
-// accepts must mean to it exactly what it means to encoding/json. The fuzz
-// targets below check that differentially; their seed corpora are bodies the
-// encoders produce, plus inputs that once disagreed.
+// ParseSelectWire and ScanDecisionMeta are hand-rolled scanners over bytes
+// from another process. They may refuse anything they do not fully
+// understand, but whatever they accept must mean to them exactly what it
+// means to encoding/json. The fuzz targets below check that differentially;
+// their seed corpora are bodies the encoders produce, plus inputs that once
+// disagreed.
 
 func FuzzParseSelectWire(f *testing.F) {
 	for _, req := range []shapeRequest{
@@ -53,9 +52,9 @@ func FuzzScanDecisionMeta(f *testing.F) {
 		Device: "r9nano", Shape: gemm.Shape{M: 784, K: 1152, N: 256}.String(), Config: "cfg",
 		Index: 3, KernelID: "k3", Generation: 7,
 	}
-	degraded := full
-	degraded.Degraded, degraded.DegradedReason, degraded.Generation = true, "budget", math.MaxUint64
-	for _, d := range []Decision{full, degraded, {}} {
+	last := full
+	last.Generation = math.MaxUint64
+	for _, d := range []Decision{full, last, {}} {
 		f.Add(AppendDecisionJSON(nil, &d))
 		b, err := json.Marshal(d)
 		if err != nil {
@@ -63,11 +62,11 @@ func FuzzScanDecisionMeta(f *testing.F) {
 		}
 		f.Add(append(b, '\n'))
 	}
-	f.Add([]byte(`{"generation":5,"Degraded":true}`))
+	f.Add([]byte(`{"generation":5,"Generation":6}`))
 	f.Add([]byte(`{"generation":5}`))
 	f.Add([]byte(`{"generation":5,"index":-}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		gen, deg, ok := ScanDecisionMeta(body)
+		gen, ok := ScanDecisionMeta(body)
 		if !ok {
 			return
 		}
@@ -78,9 +77,8 @@ func FuzzScanDecisionMeta(f *testing.F) {
 		if err := json.Unmarshal(body, &d); errors.As(err, &syntax) {
 			t.Fatalf("scanner accepted %q, which is not JSON: %v", body, err)
 		}
-		if d.Generation != gen || d.Degraded != deg {
-			t.Fatalf("%q: scanner read generation=%d degraded=%v, encoding/json read generation=%d degraded=%v",
-				body, gen, deg, d.Generation, d.Degraded)
+		if d.Generation != gen {
+			t.Fatalf("%q: scanner read generation=%d, encoding/json read generation=%d", body, gen, d.Generation)
 		}
 	})
 }
