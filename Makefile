@@ -33,8 +33,8 @@ test:
 race:
 	$(GO) test -race -timeout 45m ./...
 
-# Fast, targeted race pass over the serving daemon and the shared pricing
-# cache — the two concurrency-heavy packages — so check gets race signal in
+# Fast, targeted race pass over the serving daemon and the pricing model its
+# regret worker and maintenance loop share, so check gets race signal in
 # seconds before the full-repo `race` sweep.
 race-serve:
 	$(GO) test -race ./internal/serve ./internal/sim
@@ -62,8 +62,8 @@ vet:
 	$(GO) vet ./...
 
 # The root-package benchmark harness regenerates every figure and table and
-# times the parallel engine (RunAll at 1 vs GOMAXPROCS workers, cached vs
-# uncached pricing, HDBSCAN clustering).
+# times the parallel engine (RunAll at 1 vs GOMAXPROCS workers, scalar
+# pricing, HDBSCAN clustering).
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 

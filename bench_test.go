@@ -337,30 +337,18 @@ func spearmanRho(a, bv []float64) float64 {
 	return 1 - 6*d2/(n*(n*n-1))
 }
 
-// BenchmarkPrice compares the analytical pricing path with and without the
-// memo cache: the cached model answers repeat (config, shape) queries — the
-// common case across pruners, classifiers and search restarts — from a
-// sharded read-mostly map.
+// BenchmarkPrice times one scalar pricing of a (configuration, shape) pair,
+// as search objectives and autotuning measurers call it.
 func BenchmarkPrice(b *testing.B) {
 	shapes, _ := workload.DatasetShapes()
 	shapes = shapes[:16]
 	configs := gemm.AllConfigs()[:40]
-	run := func(b *testing.B, m *sim.Model) {
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			s := shapes[i%len(shapes)]
-			cfg := configs[i%len(configs)]
-			sink += m.Price(cfg, s).TotalSec
-		}
-		_ = sink
+	m := sim.New(device.R9Nano())
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += m.Price(configs[i%len(configs)], shapes[i%len(shapes)]).TotalSec
 	}
-	b.Run("uncached", func(b *testing.B) {
-		// A literal Model has a nil cache: every call re-prices.
-		run(b, &sim.Model{Dev: device.R9Nano(), P: sim.DefaultParams()})
-	})
-	b.Run("cached", func(b *testing.B) {
-		run(b, sim.New(device.R9Nano()))
-	})
+	_ = sink
 }
 
 // BenchmarkRunAll times the full deterministic evaluation (Figures 1-4 and

@@ -178,8 +178,8 @@ type benchReport struct {
 
 // writeBenchJSON times Setup once and RunAll at 1 worker and at the
 // configured pool size on the same environment, then writes the samples as
-// JSON. The price cache is warm for both RunAll runs (Setup fills it), so
-// the two timings isolate the worker-pool effect.
+// JSON. Setup prices the datasets and RunAll prices nothing, so the two
+// timings isolate the worker-pool effect.
 func writeBenchJSON(cfg experiments.Config, path string) error {
 	// Open the output before measuring so a bad path fails in milliseconds,
 	// not after the benchmark runs.

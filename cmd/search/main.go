@@ -9,9 +9,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
 	"runtime"
 
 	"kernelselect/internal/device"
@@ -21,22 +23,36 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("search: ")
-	shapeStr := flag.String("shape", "12544x576x128", "GEMM shape as MxKxN")
-	spaceName := flag.String("space", "extended", "configuration space: default (640) or extended (~18k)")
-	seed := flag.Uint64("seed", 7, "search seed")
-	devName := flag.String("device", "r9nano", "device model: r9nano, gen9 or mali")
-	workers := flag.Int("workers", 0, "concurrent candidate evaluations (0 = GOMAXPROCS, 1 = sequential)")
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "search: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, runs every strategy against brute force and writes the
+// comparison table to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("search", flag.ContinueOnError)
+	shapeStr := fs.String("shape", "12544x576x128", "GEMM shape as MxKxN")
+	spaceName := fs.String("space", "extended", "configuration space: default (640) or extended (~18k)")
+	seed := fs.Uint64("seed", 7, "search seed")
+	devName := fs.String("device", "r9nano", "device model: r9nano, gen9 or mali")
+	workers := fs.Int("workers", 0, "concurrent candidate evaluations (0 = GOMAXPROCS, 1 = sequential)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var m, k, n int
 	if _, err := fmt.Sscanf(*shapeStr, "%dx%dx%d", &m, &k, &n); err != nil {
-		log.Fatalf("bad -shape %q: %v", *shapeStr, err)
+		return fmt.Errorf("bad -shape %q: %v", *shapeStr, err)
 	}
 	shape := gemm.Shape{M: m, K: k, N: n}
 	if err := shape.Validate(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	var sp search.Space
@@ -46,7 +62,7 @@ func main() {
 	case "extended":
 		sp = search.ExtendedSpace()
 	default:
-		log.Fatalf("unknown space %q", *spaceName)
+		return fmt.Errorf("unknown space %q", *spaceName)
 	}
 
 	var dev device.Spec
@@ -58,7 +74,7 @@ func main() {
 	case "mali":
 		dev = device.EmbeddedMaliG72()
 	default:
-		log.Fatalf("unknown device %q", *devName)
+		return fmt.Errorf("unknown device %q", *devName)
 	}
 
 	model := sim.New(dev)
@@ -73,11 +89,11 @@ func main() {
 	}
 	opts := search.Options{Workers: w}
 
-	fmt.Printf("shape %v on %s, space %s (%d configurations), %d workers\n\n", shape, dev.Name, *spaceName, sp.Size(), w)
+	fmt.Fprintf(out, "shape %v on %s, space %s (%d configurations), %d workers\n\n", shape, dev.Name, *spaceName, sp.Size(), w)
 	exact := search.BruteForce(sp, obj, opts)
-	fmt.Printf("%-14s %10s %12s %10s %s\n", "strategy", "evals", "best GF/s", "% of opt", "best config")
+	fmt.Fprintf(out, "%-14s %10s %12s %10s %s\n", "strategy", "evals", "best GF/s", "% of opt", "best config")
 	report := func(name string, r search.Result) {
-		fmt.Printf("%-14s %10d %12.0f %9.1f%% %s\n",
+		fmt.Fprintf(out, "%-14s %10d %12.0f %9.1f%% %s\n",
 			name, r.Evaluations, r.BestScore, 100*r.BestScore/exact.BestScore, r.Best)
 	}
 	report("brute-force", exact)
@@ -85,4 +101,5 @@ func main() {
 	report("hill-climb", search.HillClimb(sp, obj, 12, *seed, opts))
 	report("basin-hopping", search.BasinHopping(sp, obj, 20, 0.1, *seed, opts))
 	report("genetic", search.Genetic(sp, obj, search.GeneticOptions{Seed: *seed, Generations: 30, Workers: w}))
+	return nil
 }

@@ -30,7 +30,7 @@
 //
 // Endpoints:
 //
-//	POST /v1/select        {"m":3136,"k":576,"n":128,"device":"gen9"} → chosen config and kernel ID
+//	POST /v1/select        {"m":3136,"k":576,"n":128,"device":"integrated-gen9"} → chosen config and kernel ID
 //	POST /v1/select/batch  {"device":"...","shapes":[...]} → one decision per shape, at most serve.MaxBatch (1024)
 //	POST /v1/reload        {"device":"..."} → hot-swap that backend onto a freshly loaded/retrained library
 //	GET  /v1/configs       the served kernel set and selector (?device= picks a backend)
@@ -77,6 +77,10 @@
 // kept off the serving address so profiling endpoints are never reachable
 // through the load balancer.
 //
+// Memory: the daemon collects garbage only when its Go memory reaches
+// serve.HeapBudget, instead of after every doubling of a live heap of a few
+// MB; GOGC or GOMEMLIMIT in the environment overrides the budget.
+//
 // Usage:
 //
 //	selectd [-addr :8080] [-devices r9nano,gen9] [-library lib.json] [-selector tree] [-n 8] [-seed 42] [-pprof localhost:6060] ...
@@ -109,6 +113,7 @@ import (
 )
 
 func main() {
+	serve.SetHeapBudget()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	err := run(ctx, os.Args[1:], os.Stderr)
 	stop()

@@ -20,6 +20,10 @@
 // a fresh generation: the replica leaves rotation, reloads, and cuts back in,
 // and the router pulls the new generation before it answers.
 //
+// Like selectd, the router collects garbage only when its Go memory reaches
+// serve.HeapBudget; GOGC or GOMEMLIMIT in the environment overrides the
+// budget.
+//
 // Endpoints:
 //
 //	POST /v1/select        one decision from the pulled artifact, as selectd answers it
@@ -53,12 +57,14 @@ import (
 	"time"
 
 	"kernelselect/internal/cluster"
+	"kernelselect/internal/serve"
 )
 
 // pullRetry is the pause between start-up pulls while no replica answers.
 const pullRetry = time.Second
 
 func main() {
+	serve.SetHeapBudget()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	err := run(ctx, os.Args[1:], os.Stderr)
 	stop()

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"kernelselect/internal/core"
@@ -105,4 +108,28 @@ func routerSelect(t testing.TB, url string, shape gemm.Shape) (int, serve.Decisi
 		}
 	}
 	return resp.StatusCode, d
+}
+
+// The router runs no maintenance pass, so its engine keeps no drift window:
+// one would collect every select the router answers and never score it.
+func TestRouterKeepsNoDriftWindow(t *testing.T) {
+	f := newTestFleet(t, 1, Options{}, nil)
+	for i := 0; i < 240; i++ {
+		if code, _ := routerSelect(t, f.rts.URL, fleetShapes[i%len(fleetShapes)]); code != http.StatusOK {
+			t.Fatalf("select %d: status %d", i, code)
+		}
+	}
+	resp, err := http.Get(f.rts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	page, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("selectd_window_size{device=%q} 0\n", f.model.Dev.Name)
+	if !strings.Contains(string(page), want) {
+		t.Fatalf("router /metrics lacks %q after 240 selects:\n%s", want, page)
+	}
 }

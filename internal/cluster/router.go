@@ -146,7 +146,12 @@ func pullEngine(ctx context.Context, rep *Replica) (*serve.Server, error) {
 		backends[i] = serve.Backend{Device: be.Device, Lib: lib, Model: sim.New(spec)}
 		gens[i] = gen
 	}
-	engine, err := serve.NewMulti(backends, serve.Options{})
+	// No drift window: the router runs no maintenance pass, so a window
+	// would only collect every select it answers and never score one
+	// (selectd_drift_score would read 0 forever). Fleet-wide drift comes
+	// back when retraining leaves the daemon and reads every serving
+	// process's recent decisions (ROADMAP items 3 and 7).
+	engine, err := serve.NewMulti(backends, serve.Options{WindowSize: -1})
 	if err != nil {
 		return nil, fmt.Errorf("replica %s: %w", rep.Name, err)
 	}

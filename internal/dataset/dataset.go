@@ -61,7 +61,7 @@ func BuildParallel(m *sim.Model, shapes []gemm.Shape, configs []gemm.Config, wor
 // models through one shared worker pool — the cross-device counterpart of
 // BuildParallel. The task list is the flattened (model, shape) row grid, so
 // a slow device's rows do not serialise behind a fast device's, and each
-// model's memoised pricing cache fills exactly once. The returned datasets
+// model prices each row exactly once. The returned datasets
 // are row-aligned: dataset d, row i describes the same shape for every d,
 // which is what lets cross-device experiments reuse one train/test split.
 // The result is identical at any worker count.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -218,5 +219,39 @@ func TestClosedLoopMetricsSeries(t *testing.T) {
 	}
 	if win := metricValue(t, page, `selectd_window_size{device="amd-r9-nano"}`); win != 6 {
 		t.Fatalf("window size %v, want 6", win)
+	}
+}
+
+// Regret sampling prices each sampled shape against the whole universe and
+// keeps none of it, so a server that samples every decision over hundreds of
+// distinct shapes keeps a flat live heap. (A pricing memo on the model would
+// keep ~190 KB per sampled shape here, without bound.)
+func TestRegretSamplingKeepsHeapFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory distorts heap readings")
+	}
+	model := sim.New(device.R9Nano())
+	srv := New(buildLib(t, model, 6), model, Options{RegretSample: 1})
+	defer srv.Close()
+	be := srv.backends[0]
+
+	const shapes = 500
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < shapes; i++ {
+		if _, err := srv.Decide("", gemm.Shape{M: 1 + 7*i, K: 64 + i, N: 96 + 3*i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitSettled(t, be)
+	if measured := be.regretHist.count.Load(); measured != shapes {
+		t.Fatalf("measured %d of %d sampled decisions", measured, shapes)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if growth := int64(after.HeapAlloc) - int64(before.HeapAlloc); growth > 4<<20 {
+		t.Fatalf("live heap grew %d KB over %d regret-priced shapes (%d B per shape)",
+			growth>>10, shapes, growth/shapes)
 	}
 }

@@ -169,7 +169,7 @@ func TestReloadEndpoint(t *testing.T) {
 
 // A reload and a maintenance pass price nothing: with regret sampling and
 // retraining off, a backend whose window holds shapes its model has never
-// priced reloads and runs Maintain without adding one pricing-memo entry.
+// priced reloads and runs Maintain without one pricing call on its model.
 func TestReloadPricesNothing(t *testing.T) {
 	model := sim.New(device.R9Nano())
 	libA := buildLib(t, model, 6)
@@ -183,16 +183,16 @@ func TestReloadPricesNothing(t *testing.T) {
 			}
 		}
 	}
-	_, misses, entries := model.CacheStats()
-	if entries == 0 {
-		t.Fatal("the model keeps no pricing memo, so this test would check nothing")
+	priced := model.Priced()
+	if priced == 0 {
+		t.Fatal("building the libraries counted no pricing, so this test would check nothing")
 	}
 	if _, err := srv.Reload("", libB, nil); err != nil {
 		t.Fatal(err)
 	}
 	srv.Maintain()
-	if _, m, e := model.CacheStats(); m != misses || e != entries {
-		t.Fatalf("reload and maintain priced shapes: memo misses %d -> %d, entries %d -> %d", misses, m, entries, e)
+	if got := model.Priced(); got != priced {
+		t.Fatalf("reload and maintain priced: %d pricing calls, want 0", got-priced)
 	}
 }
 

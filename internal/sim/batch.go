@@ -1,17 +1,18 @@
 package sim
 
 // Batch pricing: one shape, every library configuration, in a single
-// cache-friendly pass. The serving miss path and the dataset builder both
-// price all N configurations of a fixed list against one shape at a time;
-// doing that as N independent Price calls re-derives every shape-independent
-// quantity (occupancy, ALU utilisation, coalescing efficiencies, throughput
-// prefixes) N times per shape. A BatchPricer flattens those per-configuration
-// terms into struct-of-arrays once — the same flattening core.CompileSelector
-// applies to selectors — so the per-(shape, config) inner loop touches only
-// sequential slices and computes only the genuinely shape-dependent terms.
+// cache-friendly pass. The dataset builder, regret sampling and the retrain
+// gates all price the N configurations of a fixed list against one shape at
+// a time; doing that as N independent Price calls re-derives every
+// shape-independent quantity (occupancy, ALU utilisation, coalescing
+// efficiencies, throughput prefixes) N times per shape. A BatchPricer
+// flattens those per-configuration terms into struct-of-arrays once — the
+// same flattening core.CompileSelector applies to selectors — so the
+// per-(shape, config) inner loop touches only sequential slices and computes
+// only the genuinely shape-dependent terms.
 //
 // The batch path is bit-identical to Price: every floating-point expression
-// below preserves the evaluation order of Model.price term for term (hoisting
+// below preserves the evaluation order of Model.Price term for term (hoisting
 // only left prefixes of products, which does not reassociate them), and the
 // jitter hash folds the same words in the same sequence. The determinism test
 // pins this across the full dataset on every device model.
@@ -31,7 +32,6 @@ import (
 // model hands out for the same list.
 type cfgParams struct {
 	cfgs []gemm.Config
-	all  []int32 // 0..len(cfgs)-1, the "price everything" index list
 
 	// Integer geometry per configuration.
 	bm, bn        []int
@@ -67,16 +67,13 @@ type cfgParams struct {
 	memFloor     float64
 	memFloorComp float64 // 1 − MemUnderfillFloor
 
-	// Scratch pools so the cached path allocates nothing per call.
-	missPool sync.Pool // *[]int32: indices missing from the memo cache
-	rowPool  sync.Pool // *[]Breakdown: PriceRow's breakdown scratch
+	rowPool sync.Pool // *[]Breakdown: PriceRow's breakdown scratch
 }
 
 func buildCfgParams(d device.Spec, p Params, cfgs []gemm.Config) *cfgParams {
 	n := len(cfgs)
 	cp := &cfgParams{
 		cfgs:          append([]gemm.Config(nil), cfgs...),
-		all:           make([]int32, n),
 		bm:            make([]int, n),
 		bn:            make([]int, n),
 		wavesPerGroup: make([]int, n),
@@ -106,13 +103,11 @@ func buildCfgParams(d device.Spec, p Params, cfgs []gemm.Config) *cfgParams {
 		memFloor:     p.MemUnderfillFloor,
 		memFloorComp: 1 - p.MemUnderfillFloor,
 	}
-	cp.missPool.New = func() any { s := make([]int32, 0, n); return &s }
 	cp.rowPool.New = func() any { s := make([]Breakdown, 0, n); return &s }
 
 	waveSlots := d.SIMDsPerCU * d.MaxWavesPerSIM
 	line := float64(d.CacheLineBytes)
 	for i, cfg := range cp.cfgs {
-		cp.all[i] = int32(i)
 		tr, tc, acc := cfg.TileRows, cfg.TileCols, cfg.AccDepth
 		bm, bn := cfg.GroupTile()
 		groupItems := cfg.WG.R * cfg.WG.C
@@ -186,9 +181,9 @@ func foldHash(h, w uint64) uint64 {
 	return xrand.SplitMix64(&h)
 }
 
-// priceInto prices the configurations named by idx against s, writing each
+// priceInto prices every configuration against s, writing configuration i's
 // result at out[i]. The caller guarantees len(out) == len(cp.cfgs).
-func (cp *cfgParams) priceInto(out []Breakdown, s gemm.Shape, idx []int32) {
+func (cp *cfgParams) priceInto(out []Breakdown, s gemm.Shape) {
 	usefulFlops := float64(s.FLOPs())
 	k := float64(s.K)
 	bytesA := 4 * float64(s.M) * float64(s.K)
@@ -206,8 +201,7 @@ func (cp *cfgParams) priceInto(out []Breakdown, s gemm.Shape, idx []int32) {
 	hs = foldHash(hs, uint64(s.N))
 	hs = foldHash(hs, uint64(s.K))
 
-	for _, i32 := range idx {
-		i := int(i32)
+	for i := range out {
 		b := Breakdown{
 			WavesPerGroup: cp.wavesPerGroup[i],
 			GroupsPerCU:   cp.groupsPerCU[i],
@@ -259,9 +253,8 @@ func (cp *cfgParams) priceInto(out []Breakdown, s gemm.Shape, idx []int32) {
 }
 
 // BatchPricer prices a fixed configuration list against shapes, one shape per
-// call, through the model's memo cache. Obtain one from Model.Batch and reuse
-// it: the struct-of-arrays flattening is paid once at construction. Safe for
-// concurrent use.
+// call. Obtain one from Model.Batch and reuse it: the struct-of-arrays
+// flattening is paid once at construction. Safe for concurrent use.
 type BatchPricer struct {
 	m  *Model
 	cp *cfgParams
@@ -278,83 +271,19 @@ func (bp *BatchPricer) Price(s gemm.Shape) []Breakdown {
 }
 
 // PriceInto appends one Breakdown per configuration to dst and returns the
-// extended slice. When dst has capacity for the batch the call performs no
-// allocations beyond work actually memoised for the first time; pass dst[:0]
-// of a reused slice to price in a steady state of zero allocations per call.
-//
-// Cache accounting matches Price's invariant exactly: every configuration is
-// one lookup, answered either as a hit or as a miss, and a miss is counted
-// only by the caller that actually stored the computation — a concurrent
-// pricing of the same pair that loses the store race recounts itself as a
-// hit, keeping hits+misses == lookups and misses == entries computed.
+// extended slice. When dst has capacity for the batch the call allocates
+// nothing; pass dst[:0] of a reused slice to price with zero allocations per
+// call.
 func (bp *BatchPricer) PriceInto(dst []Breakdown, s gemm.Shape) []Breakdown {
-	cp := bp.cp
-	n := len(cp.cfgs)
+	bp.m.priced.Add(1)
+	n := len(bp.cp.cfgs)
 	base := len(dst)
 	if cap(dst)-base >= n {
 		dst = dst[:base+n]
 	} else {
 		dst = append(dst, make([]Breakdown, n)...)
 	}
-	out := dst[base:]
-
-	c := bp.m.cache
-	if c == nil {
-		cp.priceInto(out, s, cp.all)
-		return dst
-	}
-
-	mp := cp.missPool.Get().(*[]int32)
-	miss := (*mp)[:0]
-	var hits uint64
-	for i := range out {
-		key := priceKey{cfg: cp.cfgs[i], s: s}
-		sh := &c.shards[key.shard()]
-		sh.mu.RLock()
-		b, ok := sh.m[key]
-		sh.mu.RUnlock()
-		if ok {
-			out[i] = b
-			hits++
-		} else {
-			miss = append(miss, int32(i))
-		}
-	}
-	if hits > 0 {
-		c.hits.Add(hits)
-	}
-	if len(miss) == 0 {
-		*mp = miss
-		cp.missPool.Put(mp)
-		return dst
-	}
-
-	cp.priceInto(out, s, miss)
-
-	// Store under the shard write locks with the same double-checked-locking
-	// discipline as Price: a concurrent pricing may have landed first, in
-	// which case its entry wins (the values are identical by construction) and
-	// this caller's computation recounts as a hit.
-	var misses, lateHits uint64
-	for _, i := range miss {
-		key := priceKey{cfg: cp.cfgs[i], s: s}
-		sh := &c.shards[key.shard()]
-		sh.mu.Lock()
-		if b, ok := sh.m[key]; ok {
-			out[i] = b
-			lateHits++
-		} else {
-			sh.m[key] = out[i]
-			misses++
-		}
-		sh.mu.Unlock()
-	}
-	if lateHits > 0 {
-		c.hits.Add(lateHits)
-	}
-	c.misses.Add(misses)
-	*mp = miss[:0]
-	cp.missPool.Put(mp)
+	bp.cp.priceInto(dst[base:], s)
 	return dst
 }
 
@@ -384,9 +313,8 @@ func (m *Model) Batch(cfgs []gemm.Config) *BatchPricer {
 
 // PriceBatch prices every configuration of cfgs on shape s in one pass,
 // returning breakdowns in configuration order. Results are bit-identical to
-// calling Price per configuration, and the memo cache sees the same lookups.
-// Callers pricing many shapes against one list should hold a Batch pricer
-// instead of re-passing the list per shape.
+// calling Price per configuration. Callers pricing many shapes against one
+// list should hold a Batch pricer instead of re-passing the list per shape.
 func (m *Model) PriceBatch(cfgs []gemm.Config, s gemm.Shape) []Breakdown {
 	return m.Batch(cfgs).Price(s)
 }

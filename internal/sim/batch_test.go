@@ -20,9 +20,7 @@ func TestPriceBatchBitIdentical(t *testing.T) {
 	cfgs := gemm.AllConfigs()
 	for _, spec := range []device.Spec{device.R9Nano(), device.IntegratedGen9(), device.EmbeddedMaliG72()} {
 		t.Run(spec.Name, func(t *testing.T) {
-			// Reference prices through the uncached path so both sides
-			// compute rather than copy each other's memoised values.
-			ref := &Model{Dev: spec, P: DefaultParams()}
+			ref := New(spec)
 			bp := ref.Batch(cfgs)
 			var row []Breakdown
 			for _, s := range shapes {
@@ -37,110 +35,61 @@ func TestPriceBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPriceBatchCacheAccounting pins the satellite invariant: the batch path
-// must keep hits+misses == lookups with misses == entries actually computed,
-// interoperating with per-config Price against the same memo cache.
-func TestPriceBatchCacheAccounting(t *testing.T) {
-	m := New(device.R9Nano())
-	cfgs := gemm.AllConfigs()[:64]
-	s := gemm.Shape{M: 384, K: 256, N: 512}
-
-	// Pre-price a prefix individually: 10 misses.
-	for _, cfg := range cfgs[:10] {
-		m.Price(cfg, s)
-	}
-	bp := m.Batch(cfgs)
-	bp.PriceInto(nil, s)
-	hits, misses, entries := m.CacheStats()
-	if hits != 10 || misses != 64 || entries != 64 {
-		t.Fatalf("after warm batch: hits=%d misses=%d entries=%d, want 10/64/64", hits, misses, entries)
-	}
-
-	// A second batch over the same shape is all hits.
-	bp.PriceInto(nil, s)
-	hits, misses, entries = m.CacheStats()
-	if hits != 74 || misses != 64 || entries != 64 {
-		t.Fatalf("after repeat batch: hits=%d misses=%d entries=%d, want 74/64/64", hits, misses, entries)
-	}
-	if hits+misses != 74+64 {
-		t.Fatalf("hits+misses %d != lookups %d", hits+misses, 74+64)
-	}
-}
-
-// TestPriceBatchConcurrentAccounting races many batch pricings of a small
-// key universe and checks the exactly-once computation accounting survives
-// the store races (a loser of the double-checked store recounts as a hit).
-func TestPriceBatchConcurrentAccounting(t *testing.T) {
-	m := New(device.R9Nano())
-	cfgs := gemm.AllConfigs()[:32]
-	shapes := []gemm.Shape{
-		{M: 64, K: 64, N: 64}, {M: 512, K: 128, N: 256}, {M: 1024, K: 1024, N: 64},
-	}
-	const goroutines = 16
-	const rounds = 8
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			bp := m.Batch(cfgs)
-			var row []Breakdown
-			for r := 0; r < rounds; r++ {
-				row = bp.PriceInto(row[:0], shapes[(g+r)%len(shapes)])
-			}
-		}(g)
-	}
-	wg.Wait()
-	hits, misses, entries := m.CacheStats()
-	lookups := uint64(goroutines * rounds * len(cfgs))
-	if hits+misses != lookups {
-		t.Fatalf("hits %d + misses %d != lookups %d", hits, misses, lookups)
-	}
-	wantEntries := len(cfgs) * len(shapes)
-	if entries != wantEntries {
-		t.Fatalf("entries %d, want %d", entries, wantEntries)
-	}
-	if misses != uint64(wantEntries) {
-		t.Fatalf("misses %d, want %d (exactly one computation per distinct pair)", misses, wantEntries)
-	}
-}
-
-// TestPriceBatchZeroAlloc pins the batch path's allocation behavior in both
-// steady states: the pure compute path (no memo cache) and the fully warmed
-// memo cache must price a shape with zero allocations per call.
+// TestPriceBatchZeroAlloc pins the batch path's allocation behavior: with a
+// reused row, pricing a shape allocates nothing.
 func TestPriceBatchZeroAlloc(t *testing.T) {
 	shapes, _ := workload.DatasetShapes()
 	shapes = shapes[:8]
 	cfgs := gemm.AllConfigs()[:160]
 
-	uncached := &Model{Dev: device.R9Nano(), P: DefaultParams()}
-	bp := uncached.Batch(cfgs)
+	bp := New(device.R9Nano()).Batch(cfgs)
 	row := make([]Breakdown, 0, len(cfgs))
 	i := 0
 	if n := testing.AllocsPerRun(50, func() {
 		row = bp.PriceInto(row[:0], shapes[i%len(shapes)])
 		i++
 	}); n != 0 {
-		t.Errorf("uncached batch path allocates %.1f/op, want 0", n)
+		t.Errorf("batch path allocates %.1f/op, want 0", n)
+	}
+}
+
+// TestPricedCountsEveryCall checks the pricing counter a caller reads to
+// prove a path prices nothing: one count per Price, PriceInto or PriceRow
+// call, however many goroutines price at once.
+func TestPricedCountsEveryCall(t *testing.T) {
+	m := New(device.R9Nano())
+	cfgs := gemm.AllConfigs()[:32]
+	s := gemm.Shape{M: 384, K: 256, N: 512}
+	m.Price(cfgs[0], s)
+	m.TimeSeconds(cfgs[1], s)
+	bp := m.Batch(cfgs)
+	bp.PriceInto(nil, s)
+	bp.PriceRow(make([]float64, len(cfgs)), s)
+	if got := m.Priced(); got != 4 {
+		t.Fatalf("Priced() = %d after 4 pricing calls", got)
 	}
 
-	warm := New(device.R9Nano())
-	wbp := warm.Batch(cfgs)
-	for _, s := range shapes {
-		row = wbp.PriceInto(row[:0], s)
+	const goroutines, rounds = 8, 16
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			defer wg.Done()
+			row := make([]float64, len(cfgs))
+			for r := 0; r < rounds; r++ {
+				bp.PriceRow(row, s)
+			}
+		}()
 	}
-	i = 0
-	if n := testing.AllocsPerRun(50, func() {
-		row = wbp.PriceInto(row[:0], shapes[i%len(shapes)])
-		i++
-	}); n != 0 {
-		t.Errorf("warmed batch path allocates %.1f/op, want 0", n)
+	wg.Wait()
+	if got, want := m.Priced(), uint64(4+goroutines*rounds); got != want {
+		t.Fatalf("Priced() = %d after concurrent pricing, want %d", got, want)
 	}
 }
 
 // TestBatchSharesFlattening checks that Batch memoises the struct-of-arrays
-// layout per configuration list on cached models, including for callers that
-// pass an equal-but-distinct slice.
+// layout per configuration list on models built with New, including for
+// callers that pass an equal-but-distinct slice.
 func TestBatchSharesFlattening(t *testing.T) {
 	m := New(device.R9Nano())
 	a := gemm.AllConfigs()[:40]
@@ -154,9 +103,8 @@ func TestBatchSharesFlattening(t *testing.T) {
 }
 
 // BenchmarkPriceBatch / BenchmarkPriceLoop compare the batch pass against N
-// independent Price calls on the pure compute path (no memo cache, so both
-// sides measure pricing, not map lookups). bench-price gates on the batch
-// number against a committed baseline.
+// independent Price calls. bench-price gates on the batch number against a
+// committed baseline.
 func BenchmarkPriceBatch(b *testing.B) {
 	shapes, _ := workload.DatasetShapes()
 	cfgs := gemm.AllConfigs()

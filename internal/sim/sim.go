@@ -25,12 +25,18 @@
 // A deterministic ±jitter keyed by (device, shape, configuration) stands in
 // for run-to-run measurement noise so that near-ties resolve the same way
 // every run.
+//
+// Pricing is a pure function of (device, parameters, configuration, shape)
+// and the model memoises none of it. A BatchPricer prices a 640-config row
+// in tens of microseconds (BENCH_price.txt), so offline builds, regret
+// sampling and retrain gates simply price again; a memo of every priced pair
+// would hold a serving process's whole heap and grow with every distinct
+// shape it samples for regret.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"kernelselect/internal/device"
@@ -88,111 +94,40 @@ func DefaultParams() Params {
 	}
 }
 
-// Model prices kernel configurations on one device.
+// Model prices kernel configurations on one device; a repeat pricing
+// computes again. All methods are safe for concurrent use.
 //
-// Models built with New memoise Price results in a sharded, lock-striped
-// cache keyed by (configuration, shape): the pipeline prices the same pairs
-// from several places (dataset building, search, autotuning, experiments)
-// and pricing is a pure function of (Dev, P, cfg, s), so repeated pricings
-// are answered from the cache. All methods are safe for concurrent use.
-// Callers that mutate Dev or P after pricing must call ResetCache, or stale
-// entries will be served.
+// Models built with New keep each Batch configuration list's flattened
+// parameters, which derive from Dev and P; Dev and P must not change after
+// the first Batch call on such a model.
 type Model struct {
 	Dev device.Spec
 	P   Params
-
-	cache *priceCache // nil (e.g. on a zero Model) disables memoisation
 
 	// batches memoises the struct-of-arrays parameter flattening batch
 	// pricing uses, per configuration list (see batch.go). nil (zero Model)
 	// rebuilds the flattening per Batch call.
 	batches *batchCache
+
+	// priced counts Price and PriceInto calls (see Priced).
+	priced atomic.Uint64
 }
 
-// New returns a model of dev with default parameters and an enabled pricing
-// cache. It panics if the spec is invalid, since a model with a broken
-// device cannot produce meaningful numbers anywhere downstream.
+// New returns a model of dev with default parameters that shares Batch
+// flattenings across equal configuration lists. It panics if the spec is
+// invalid, since a model with a broken device cannot produce meaningful
+// numbers anywhere downstream.
 func New(dev device.Spec) *Model {
 	if err := dev.Validate(); err != nil {
 		panic(err)
 	}
-	return &Model{Dev: dev, P: DefaultParams(), cache: newPriceCache(), batches: newBatchCache()}
+	return &Model{Dev: dev, P: DefaultParams(), batches: newBatchCache()}
 }
 
-// priceShards is the number of lock stripes of the pricing cache. 64 keeps
-// contention negligible at any plausible GOMAXPROCS while costing only 64
-// small maps per model.
-const priceShards = 64
-
-type priceKey struct {
-	cfg gemm.Config
-	s   gemm.Shape
-}
-
-// shard maps a key to its lock stripe with a cheap multiplicative mix; the
-// cache only needs the top bits to spread keys, not a full hash.
-func (k priceKey) shard() uint64 {
-	h := uint64(k.s.M)<<42 ^ uint64(k.s.K)<<21 ^ uint64(k.s.N)
-	h ^= uint64(k.cfg.TileRows)<<36 ^ uint64(k.cfg.TileCols)<<28 ^
-		uint64(k.cfg.AccDepth)<<20 ^ uint64(k.cfg.WG.R)<<10 ^ uint64(k.cfg.WG.C)
-	h *= 0x9e3779b97f4a7c15
-	return h >> 58
-}
-
-type priceCache struct {
-	shards [priceShards]struct {
-		mu sync.RWMutex
-		m  map[priceKey]Breakdown
-	}
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-func newPriceCache() *priceCache {
-	c := &priceCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[priceKey]Breakdown)
-	}
-	return c
-}
-
-// CacheStats reports the pricing cache's activity: answered-from-cache and
-// computed counts, and the number of distinct (configuration, shape) pairs
-// held. All zeros for a model without a cache.
-func (m *Model) CacheStats() (hits, misses uint64, entries int) {
-	if m.cache == nil {
-		return 0, 0, 0
-	}
-	for i := range m.cache.shards {
-		sh := &m.cache.shards[i]
-		sh.mu.RLock()
-		entries += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return m.cache.hits.Load(), m.cache.misses.Load(), entries
-}
-
-// ResetCache drops every memoised pricing (and the hit/miss counters).
-// Required after mutating Dev or P on a model that has already priced.
-func (m *Model) ResetCache() {
-	if m.batches != nil {
-		// The flattened batch parameters derive from Dev and P too.
-		m.batches.mu.Lock()
-		m.batches.m = make(map[uint64][]*cfgParams)
-		m.batches.mu.Unlock()
-	}
-	if m.cache == nil {
-		return
-	}
-	for i := range m.cache.shards {
-		sh := &m.cache.shards[i]
-		sh.mu.Lock()
-		sh.m = make(map[priceKey]Breakdown)
-		sh.mu.Unlock()
-	}
-	m.cache.hits.Store(0)
-	m.cache.misses.Store(0)
-}
+// Priced counts the model's pricing calls: one per Price (TimeSeconds and
+// GFLOPS included) and one per BatchPricer.PriceInto (a batch Price or
+// PriceRow included), so a caller can check that a path prices nothing.
+func (m *Model) Priced() uint64 { return m.priced.Load() }
 
 // Breakdown reports every intermediate quantity of one pricing, for tests,
 // ablation benchmarks and debugging.
@@ -229,40 +164,9 @@ func (m *Model) GFLOPS(cfg gemm.Config, s gemm.Shape) float64 {
 	return m.Price(cfg, s).GFLOPS
 }
 
-// Price returns the full model evaluation for one (configuration, shape)
-// pair, memoised when the model has a cache (see Model).
+// Price returns the full model evaluation for one (configuration, shape) pair.
 func (m *Model) Price(cfg gemm.Config, s gemm.Shape) Breakdown {
-	if m.cache == nil {
-		return m.price(cfg, s)
-	}
-	key := priceKey{cfg: cfg, s: s}
-	sh := &m.cache.shards[key.shard()]
-	sh.mu.RLock()
-	b, ok := sh.m[key]
-	sh.mu.RUnlock()
-	if ok {
-		m.cache.hits.Add(1)
-		return b
-	}
-	// Double-checked locking: a concurrent first pricing of the same key may
-	// have stored the value between the RUnlock above and the Lock here, so
-	// re-check under the write lock. Exactly one caller computes (and counts
-	// the miss); every other caller of the same key counts a hit, keeping
-	// hits+misses equal to lookups and misses equal to work actually done.
-	sh.mu.Lock()
-	if b, ok = sh.m[key]; ok {
-		sh.mu.Unlock()
-		m.cache.hits.Add(1)
-		return b
-	}
-	b = m.price(cfg, s)
-	sh.m[key] = b
-	sh.mu.Unlock()
-	m.cache.misses.Add(1)
-	return b
-}
-
-func (m *Model) price(cfg gemm.Config, s gemm.Shape) Breakdown {
+	m.priced.Add(1)
 	d := m.Dev
 	p := m.P
 	var b Breakdown

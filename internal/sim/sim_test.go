@@ -2,7 +2,6 @@ package sim
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -234,57 +233,5 @@ func TestBreakdownString(t *testing.T) {
 	}
 	if strings.Contains(s, "REGISTER SPILL") {
 		t.Fatal("spill note on non-spilled config")
-	}
-}
-
-// TestPriceCacheExactAccounting hammers a small key set from many goroutines
-// and checks the cache's books balance exactly: every lookup is either a hit
-// or a miss, and misses equal the number of distinct keys — i.e. each key is
-// computed once, no matter how many goroutines race on its first pricing.
-// Run under -race this also exercises the double-checked locking in Price.
-func TestPriceCacheExactAccounting(t *testing.T) {
-	m := model()
-	var keys []struct {
-		cfg gemm.Config
-		s   gemm.Shape
-	}
-	for _, tile := range []int{1, 2, 4, 8} {
-		for _, dim := range []int{64, 192} {
-			keys = append(keys, struct {
-				cfg gemm.Config
-				s   gemm.Shape
-			}{
-				cfg: gemm.Config{TileRows: tile, TileCols: tile, AccDepth: 4, WG: gemm.WorkGroup{R: 8, C: 8}},
-				s:   gemm.Shape{M: dim, K: dim, N: dim},
-			})
-		}
-	}
-
-	const goroutines = 16
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func() {
-			defer wg.Done()
-			<-start
-			for _, k := range keys {
-				m.Price(k.cfg, k.s)
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-
-	hits, misses, entries := m.CacheStats()
-	lookups := uint64(goroutines * len(keys))
-	if hits+misses != lookups {
-		t.Errorf("hits %d + misses %d = %d, want %d lookups", hits, misses, hits+misses, lookups)
-	}
-	if misses != uint64(len(keys)) {
-		t.Errorf("misses %d, want exactly %d (one per distinct key)", misses, len(keys))
-	}
-	if entries != len(keys) {
-		t.Errorf("entries %d, want %d", entries, len(keys))
 	}
 }
